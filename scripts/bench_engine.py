@@ -47,11 +47,13 @@ numbers written to ``BENCH_engine.json`` in the repository root:
     power cap (sized at 70% of the uncapped run's compute-power peak, so
     it self-scales with the workload), a stepped electricity price and a
     constant carbon intensity. Run dense vs event-driven, gated at 1e-9
-    like every other equivalence pair, plus two semantic gates of its own:
-    the constant cap must never be violated (``cap_violation_kwh == 0`` —
-    the scheduler's admission check is exact, not best-effort) and the cap
-    must actually bind (``capped_hold_s > 0``), so the benchmark can never
-    silently degrade into an uncapped rerun.
+    like every other equivalence pair, plus three semantic gates of its
+    own: the constant cap must never be violated (``cap_violation_kwh ==
+    0`` — the scheduler's admission check is exact, not best-effort), the
+    cap must actually bind (``capped_hold_s > 0``), so the benchmark can
+    never silently degrade into an uncapped rerun, and holding jobs must
+    not force dense stepping (``step_reduction >= 10``: the cap wrapper
+    coalesces up to the base policy's "proposals stable until" bound).
 
 ``engine_sweep_throughput``
     A 64-run scenario-sweep grid on the tiny system (2 policies x 2
@@ -154,6 +156,10 @@ GOLDEN_RTOL = 1e-6
 
 #: Relative tolerance for the dense-vs-event-driven equivalence gate.
 EQUIVALENCE_RTOL = 1e-9
+
+#: Minimum dense/event step ratio of the power-cap benchmark. Holding
+#: jobs under a binding cap must not turn the event-driven engine dense.
+POWER_CAP_MIN_STEP_REDUCTION = 10.0
 
 #: Soft regression threshold: warn when a benchmark's wall_us_per_step
 #: exceeds the previously recorded best by this factor.
@@ -996,6 +1002,12 @@ def main() -> int:
         equivalence_failures.append(
             f"{power_cap_record['benchmark']}: cap never bound "
             "(capped_hold_s == 0); the workload no longer exercises capping"
+        )
+    if not power_cap_record["step_reduction"] >= POWER_CAP_MIN_STEP_REDUCTION:
+        equivalence_failures.append(
+            f"{power_cap_record['benchmark']}: step reduction "
+            f"{power_cap_record['step_reduction']:.2f}x < "
+            f"{POWER_CAP_MIN_STEP_REDUCTION:.0f}x; holding jobs forces dense stepping"
         )
     # The event indexes (end-time heap, breakpoint heap) change complexity,
     # never semantics: the scan path must reproduce the heap path exactly.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -172,6 +173,26 @@ class Scheduler(abc.ABC):
         an empty queue allows it freely.
         """
         return now if queue else None
+
+    @hot_path
+    def proposals_stable_until(self, now: float) -> float | None:
+        """Earliest time the last pass's proposal set could change by ``now`` alone.
+
+        The proposal set is what the latest :meth:`schedule` call returned.
+        With the queue, the running set and the operating signals frozen,
+        the same call at any grid tick before the returned time proposes
+        the same jobs. :class:`PowerCapScheduler` relies on this while it
+        holds proposals back: held jobs stay queued and are proposed again
+        every tick, so the wrapper may only coalesce past ticks on which
+        the proposals provably repeat.
+
+        Return ``None`` when the proposals never change with ``now`` alone
+        (any time-driven change is already covered by
+        :meth:`next_event_hint`). The default returns ``now``, which vetoes
+        coalescing, so a policy that does not reason about this stays
+        exact. Must be O(1): record the bound during :meth:`schedule`.
+        """
+        return now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
@@ -390,6 +411,17 @@ class ReplayScheduler(Scheduler):
                 return now
         return hint
 
+    @hot_path
+    def proposals_stable_until(self, now: float) -> float | None:
+        """Replay proposals change with ``now`` only at recorded starts.
+
+        A job becomes due at its recorded start time, and
+        :meth:`next_event_hint` already names the earliest one still ahead.
+        Placement feasibility depends only on node availability, which is
+        frozen between events.
+        """
+        return None
+
 
 class FCFSScheduler(Scheduler):
     """Strict first-come-first-served.
@@ -424,6 +456,11 @@ class FCFSScheduler(Scheduler):
         """
         return None
 
+    @hot_path
+    def proposals_stable_until(self, now: float) -> float | None:
+        """FCFS proposals depend only on the free-node counts, never on ``now``."""
+        return None
+
 
 class BackfillScheduler(Scheduler):
     """EASY backfill against wall-time limits.
@@ -453,6 +490,9 @@ class BackfillScheduler(Scheduler):
         #: but never false→true as ``now`` advances, so a declined queue
         #: stays declined until the next allocation, release or submission.
         self._noop_key: tuple[int, tuple[int, ...]] | None = None
+        #: Bound recorded by the latest pass for
+        #: :meth:`proposals_stable_until`.
+        self._stable_until: float | None = None
         #: Observability counters (published as ``sched_*_total`` metrics).
         self.reservations_computed = 0
         self.reservations_indexed = 0
@@ -460,6 +500,7 @@ class BackfillScheduler(Scheduler):
 
     def reset(self) -> None:
         self._noop_key = None
+        self._stable_until = None
         self.reservations_computed = 0
         self.reservations_indexed = 0
         self.noop_memo_hits = 0
@@ -477,6 +518,9 @@ class BackfillScheduler(Scheduler):
         key = (resource_manager.epoch, tuple(job.job_id for job in queue))
         if key == self._noop_key:
             self.noop_memo_hits += 1
+            # A memoized no-op stays a no-op until the next event (see
+            # __init__), so there is no proposal set to age.
+            self._stable_until = None
             return []
         decisions = self._schedule(queue, resource_manager, now)
         self._noop_key = None if decisions else key
@@ -485,6 +529,7 @@ class BackfillScheduler(Scheduler):
     def _schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
     ) -> list[SchedulingDecision]:
+        self._stable_until = None
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
         #: (expected end, job, registered partition) of jobs started this tick.
@@ -511,7 +556,7 @@ class BackfillScheduler(Scheduler):
         head = queue[index]
         index += 1
         head_key = free_counts.partition_key(head)
-        shadow_time, spare_nodes = self._reserve(
+        shadow_time, spare_nodes, stable_until = self._reserve(
             head, head_key, free_counts, resource_manager, started, now
         )
 
@@ -527,6 +572,9 @@ class BackfillScheduler(Scheduler):
                 head_key is not None and job_key is not None and job_key != head_key
             )
             ends_before_shadow = now + job.requested_runtime <= shadow_time
+            if ends_before_shadow and not independent:
+                # The test flips to false once now passes this time.
+                stable_until = min(stable_until, shadow_time - job.requested_runtime)
             constrained = not independent and not ends_before_shadow
             if constrained and job.nodes_required > spare_nodes:
                 continue
@@ -534,7 +582,36 @@ class BackfillScheduler(Scheduler):
             if constrained:
                 spare_nodes -= job.nodes_required
             decisions.append(SchedulingDecision(job))
+        self._stable_until = None if math.isinf(stable_until) else stable_until
         return decisions
+
+    @hot_path
+    def proposals_stable_until(self, now: float) -> float | None:
+        """The bound the latest pass recorded while it decided.
+
+        With the queue and the running set frozen, phase 1 (the FCFS
+        prefix), the blocked head and the free-node counts are constant.
+        Only the reservation ages with ``now``, and the proposals stay the
+        same until the earliest of:
+
+        * ``shadow - requested_runtime`` for every phase-3 job that is not
+          partition-independent and currently ends before the shadow time
+          (its test flips to false there);
+        * ``E_fixed - requested_runtime`` for every started-this-tick entry
+          of the shadow walk, at or before the head's crossing, that is
+          directly followed by a fixed running-job entry. Started entries
+          end at ``now + requested_runtime`` and slide past fixed ends,
+          which changes the shadow time and the spare count. Held
+          proposals under a power cap re-enter the walk this way every
+          tick;
+        * the crossing entry's expected end when it is a fixed end still
+          ahead, where ``max(now, end)`` switches formula.
+
+        Heads confined to a proper partition (and the ``vectorized=False``
+        baseline) take the occupant scan, which records ``now``: a veto.
+        A memoized no-op pass records ``None``.
+        """
+        return self._stable_until
 
     @hot_path
     def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
@@ -559,8 +636,12 @@ class BackfillScheduler(Scheduler):
         resource_manager: ResourceManager,
         started: list[tuple[float, Job, str | None]],
         now: float,
-    ) -> tuple[float, int]:
-        """Shadow reservation for the blocked head: ``(shadow_time, spare)``.
+    ) -> tuple[float, int, float]:
+        """Shadow reservation for the blocked head.
+
+        Returns ``(shadow_time, spare, stable_until)``: the last is the
+        walk's share of :meth:`proposals_stable_until` (``inf`` when the
+        walk cannot change with ``now``).
 
         When the head draws from the whole node pool (no registered
         partition, or a partition spanning every node — every single-
@@ -590,18 +671,43 @@ class BackfillScheduler(Scheduler):
             started_entries = sorted(
                 (end, job.nodes_required, job.job_id) for end, job, _ in started
             )
+            started_runtime = {job.job_id: job.requested_runtime for _, job, _ in started}
             available = free_now
-            for end, nodes, _ in heapq.merge(
+            shadow_time, spare = math.inf, 0
+            crossed = False
+            stable_until = math.inf
+            # Runtime of the latest started entry not yet followed by a
+            # fixed one; after the crossing, only the crossing's own run of
+            # started entries still needs its next fixed neighbour.
+            moving_runtime: float | None = None
+            for end, nodes, job_id in heapq.merge(
                 resource_manager.expected_release_entries(), started_entries
             ):
+                runtime = started_runtime.get(job_id)
+                if runtime is not None:
+                    if crossed:
+                        continue
+                    moving_runtime = runtime
+                else:
+                    if moving_runtime is not None:
+                        stable_until = min(stable_until, end - moving_runtime)
+                        moving_runtime = None
+                    if crossed:
+                        break
                 available += nodes
                 if available >= head.nodes_required:
                     # Overrun convention as in _reservation: a stale
                     # expected end never shadows before the current tick.
-                    return max(now, end), available - head.nodes_required
-            return float("inf"), 0
+                    shadow_time, spare = max(now, end), available - head.nodes_required
+                    crossed = True
+                    if runtime is None:
+                        if end > now:
+                            stable_until = min(stable_until, end)
+                        break
+            return shadow_time, spare, stable_until
         occupants = self._occupants(resource_manager, started, head_key, now)
-        return self._reservation(head, free_now, occupants, now)
+        shadow_time, spare = self._reservation(head, free_now, occupants, now)
+        return shadow_time, spare, now
 
     @staticmethod
     def _occupants(
@@ -772,6 +878,10 @@ class PowerCapScheduler(Scheduler):
         #: policy ran, so the base must be re-consulted on the very next
         #: grid tick — see :meth:`next_event_hint`.
         self._dismissed_pass = 0
+        #: Proposals admitted by the latest pass. Admission moves them from
+        #: the queue to the running set after the base policy decided, so
+        #: the base's stability bound no longer describes the next pass.
+        self._admitted_pass = 0
         self._dismissals: list[tuple[Job, str]] = []
         #: Observability counters (published as ``sched_*_total`` metrics).
         self._holds_total = 0
@@ -790,6 +900,7 @@ class PowerCapScheduler(Scheduler):
         self._epoch = -1
         self._held = 0
         self._dismissed_pass = 0
+        self._admitted_pass = 0
         self._dismissals.clear()
         self._holds_total = 0
         self._dismissed_total = 0
@@ -822,6 +933,7 @@ class PowerCapScheduler(Scheduler):
         self.base.vectorized = self.vectorized
         self._held = 0
         self._dismissed_pass = 0
+        self._admitted_pass = 0
         if resource_manager.epoch != self._epoch:
             # Releases only happen across epoch changes, so the committed
             # ledger needs purging exactly then. Recomputing the total from
@@ -861,6 +973,7 @@ class PowerCapScheduler(Scheduler):
                 continue
             self._held += 1
             self._holds_total += 1
+        self._admitted_pass = len(admitted)
         return admitted
 
     def drain_dismissals(self) -> list[tuple[Job, str]]:
@@ -873,26 +986,41 @@ class PowerCapScheduler(Scheduler):
 
     @hot_path
     def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """Veto coalescing while any job is held back by the cap.
+        """Coalesce while holding only as far as the base's proposals repeat.
 
-        A held job's admissibility depends on the active cap *and* on the
-        base policy's proposal set, which (for backfill) can change with
-        ``now`` alone mid-interval as the shadow-time test ages; dense
-        stepping while holding keeps the dense and event-driven schedules
-        identical. A pass that *dismissed* jobs vetoes once too: the
-        dismissal removes queue entries after the base policy ran, so the
-        base's no-op contract (queue and running set frozen between events)
-        no longer holds — dismissing a blocked FCFS/backfill head unblocks
-        the jobs behind it on the very next grid tick, which a dense run
-        acts on immediately. With nothing held and nothing just dismissed,
-        the admitted set equals the base's proposals, so the base policy's
-        own coalescing contract applies unchanged. Cap *changes* bound
-        coalescing globally through the engine's signal breakpoint stream,
-        not through this hint.
+        A held job stays queued, so every later pass re-runs the base
+        policy and re-applies the cap to its proposals. Between events the
+        committed ledger is constant: it changes only with admissions and
+        releases. The cap is constant too, because signal changes bound
+        every coalesced interval through the engine's breakpoint stream.
+        The suffix maximum behind the dismissal test changes only at those
+        same signal breakpoints. So a pass that admitted nothing holds the
+        same jobs on every grid tick until the base policy's proposal set
+        changes, which :meth:`Scheduler.proposals_stable_until` bounds.
+        The hint is then the earlier of that bound and the base's own hint.
+
+        Two kinds of pass veto for one tick instead. A pass that admitted
+        some proposals while holding others has moved jobs to the running
+        set after the base decided, so the base's bound describes a state
+        that no longer exists; the next tick's pass records a fresh one. A
+        pass that *dismissed* jobs vetoes once as well, even with nothing
+        held: the dismissal removes queue entries after the base policy
+        ran, so its no-op contract (queue and running set frozen between
+        events) no longer holds. Dismissing a blocked FCFS/backfill head
+        unblocks the jobs behind it on the very next grid tick, which a
+        dense run acts on immediately. With nothing held and nothing just
+        dismissed, the admitted set equals the base's proposals, so the
+        base policy's own coalescing contract applies unchanged.
         """
-        if self._held or (self._dismissed_pass and queue):
+        if (self._dismissed_pass and queue) or (self._held and self._admitted_pass):
             return now
-        return self.base.next_event_hint(queue, now)
+        hint = self.base.next_event_hint(queue, now)
+        if not self._held:
+            return hint
+        stable_until = self.base.proposals_stable_until(now)
+        if stable_until is None:
+            return hint
+        return stable_until if hint is None else min(hint, stable_until)
 
 
 _POLICIES: dict[str, Callable[[], Scheduler]] = {

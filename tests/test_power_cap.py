@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from repro import OperatingSignals, PowerCapScheduler, run_simulation
-from repro.engine import FCFSScheduler, SimulationEngine
+from repro.engine import (
+    BackfillScheduler,
+    FCFSScheduler,
+    Scheduler,
+    SimulationEngine,
+)
 from repro.exceptions import SchedulingError
 from repro.power import SystemPowerModel
 from repro.telemetry import JobState
@@ -205,14 +210,67 @@ class TestSchedulerUnit:
         assert scheduler._committed_kw == {}
         assert scheduler._committed_total_kw == 0.0
 
-    def test_next_event_hint_vetoes_coalescing_while_holding(self):
+    def test_fcfs_holding_defers_to_base_hint(self):
+        # FCFS proposals depend only on free-node counts, so a pass that
+        # held jobs and admitted none no longer vetoes coalescing.
         signals = OperatingSignals.constant(power_cap_kw=14.0)
         scheduler = PowerCapScheduler(FCFSScheduler(), signals)
         scheduler._held = 1
-        assert scheduler.next_event_hint([], 123.0) == 123.0
+        queue = [make_job(nodes=2, submit=0.0)]
+        assert FCFSScheduler().proposals_stable_until(123.0) is None
+        assert scheduler.next_event_hint(queue, 123.0) is None
+
+    def test_backfill_holding_returns_recorded_bound(self):
+        signals = OperatingSignals.constant(power_cap_kw=14.0)
+        base = BackfillScheduler()
+        scheduler = PowerCapScheduler(base, signals)
+        scheduler._held = 1
+        queue = [make_job(nodes=2, submit=0.0)]
+        base._stable_until = 500.0
+        assert scheduler.next_event_hint(queue, 123.0) == 500.0
+        base._stable_until = None
+        assert scheduler.next_event_hint(queue, 123.0) is None
+
+    def test_admitting_pass_vetoes_while_holding(self):
+        signals = OperatingSignals.constant(power_cap_kw=14.0)
+        base = BackfillScheduler()
+        scheduler = PowerCapScheduler(base, signals)
+        base._stable_until = 500.0
+        scheduler._held = 1
+        scheduler._admitted_pass = 1
+        queue = [make_job(nodes=2, submit=0.0)]
+        assert scheduler.next_event_hint(queue, 123.0) == 123.0
+        # Admissions alone (nothing held) keep the base's own contract.
         scheduler._held = 0
-        base_hint = FCFSScheduler().next_event_hint([], 123.0)
-        assert scheduler.next_event_hint([], 123.0) == base_hint
+        assert scheduler.next_event_hint(queue, 123.0) is None
+
+    def test_dismissal_pass_still_vetoes(self):
+        signals = OperatingSignals.constant(power_cap_kw=14.0)
+        scheduler = PowerCapScheduler(FCFSScheduler(), signals)
+        scheduler._dismissed_pass = 1
+        queue = [make_job(nodes=2, submit=0.0)]
+        assert scheduler.next_event_hint(queue, 123.0) == 123.0
+        scheduler._held = 1
+        assert scheduler.next_event_hint(queue, 123.0) == 123.0
+        # An emptied queue has nothing left to unblock.
+        assert scheduler.next_event_hint([], 123.0) is None
+
+    def test_scheduler_default_still_vetoes(self):
+        class Quiescent(Scheduler):
+            name = "quiescent"
+
+            def schedule(self, queue, resource_manager, now):
+                return []
+
+            def next_event_hint(self, queue, now):
+                return None
+
+        base = Quiescent()
+        assert base.proposals_stable_until(123.0) == 123.0
+        signals = OperatingSignals.constant(power_cap_kw=14.0)
+        scheduler = PowerCapScheduler(base, signals)
+        scheduler._held = 1
+        assert scheduler.next_event_hint([make_job(nodes=2)], 123.0) == 123.0
 
 
 class TestDismissalCoalescing:
@@ -283,6 +341,85 @@ class TestDismissalCoalescing:
 
         dense_summary = results[True].summary()
         event_summary = results[False].summary()
+        for key, value in dense_summary.items():
+            if key == "ticks":
+                continue
+            assert event_summary[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+
+class TestAdmissionCoalescing:
+    """Regression: a pass that admits some proposals and holds others must
+    not coalesce on the bound the base policy recorded for it.
+
+    Admission moves the admitted jobs into the running set after the base
+    policy decided. In the EASY walk the admitted 1-node job was a
+    started-this-tick entry that slid along with ``now``; from the next
+    tick on it is a fixed running-job end, and the held 3-node job slides
+    past it at t = 3615 - 1800 = 1815. The crossing then moves, the spare
+    count grows to one node, and the trailing 1-node job backfills. A run
+    that coalesced on the stale bound jumped to the next release at t=3615
+    and started that job 1800 s late.
+    """
+
+    def _jobs(self):
+        light = dict(cpu=0.1, gpu=0.0)
+        return [
+            # Leaves 6 of tiny's 32 nodes free until long after the window.
+            make_job(nodes=26, submit=0.0, start=0.0, duration=20000.0, wall_limit=20000.0, **light),
+            # Admitted at t=15; its expected end 3615 becomes a fixed entry.
+            make_job(nodes=1, submit=10.0, start=10.0, duration=3600.0, wall_limit=3600.0, **light),
+            # Power-hungry: fits the cap's headroom but not what is left of
+            # it, so it is held on every pass (a sliding walk entry).
+            make_job(nodes=3, submit=11.0, start=11.0, duration=1800.0, wall_limit=1800.0, cpu=1.0, gpu=1.0),
+            # The node-blocked head the reservation is for.
+            make_job(nodes=5, submit=12.0, start=12.0, duration=600.0, wall_limit=600.0, **light),
+            # Outlives the shadow time, so it needs a spare node.
+            make_job(nodes=1, submit=13.0, start=13.0, duration=7200.0, wall_limit=7200.0, **light),
+        ]
+
+    def _signals(self, tiny_system):
+        model = SystemPowerModel(tiny_system)
+        hungry = self._jobs()[2]
+        peak_w = model.job_peak_power_w(hungry)
+        idle_w = model.node_idle_power_w(hungry.partition) * hungry.nodes_required
+        cap_kw = model.idle_floor_kw() + (peak_w - idle_w) / 1000.0 + 0.01
+        return OperatingSignals.constant(power_cap_kw=cap_kw)
+
+    def test_backfill_bound_after_admission(self, tiny_system):
+        engine = SimulationEngine(
+            tiny_system, self._jobs(), "backfill", signals=self._signals(tiny_system)
+        )
+        scheduler = engine.scheduler
+        assert isinstance(scheduler, PowerCapScheduler)
+        engine.step()  # t=0: the 26-node job starts
+        engine.step()  # t=15: 1-node job admitted, 3-node job held
+        assert scheduler.held_jobs() == 1
+        assert scheduler.next_event_hint(engine.queued_jobs, 15.0) == 15.0
+        assert engine.now == 30.0
+        engine.step()  # t=30: same proposals, held, nothing admitted
+        assert scheduler.held_jobs() == 1
+        assert scheduler.base.proposals_stable_until(30.0) == 1815.0
+        assert scheduler.next_event_hint(engine.queued_jobs, 30.0) == 1815.0
+        assert engine.now == 1815.0
+
+    def test_dense_event_equal(self, tiny_system):
+        results = {}
+        for dense in (True, False):
+            engine = SimulationEngine(
+                tiny_system,
+                self._jobs(),
+                "backfill",
+                signals=self._signals(tiny_system),
+                dense_ticks=dense,
+            )
+            results[dense] = engine.run()
+        for result in results.values():
+            trailing = result.jobs[4]
+            assert trailing.sim_start_time == 1815.0
+        dense_summary = results[True].summary()
+        event_summary = results[False].summary()
+        assert dense_summary["capped_hold_s"] > 0.0
+        assert event_summary["ticks"] < dense_summary["ticks"] / 20
         for key, value in dense_summary.items():
             if key == "ticks":
                 continue
