@@ -10,6 +10,7 @@ first-order lag determined by the loop's thermal mass and flow rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..config import CoolingConfig
 
@@ -49,6 +50,8 @@ class CDU:
         self.effectiveness = effectiveness
         self.flow_kg_per_s = config.secondary_flow_kg_per_s_per_cdu
         self.thermal_mass_j_per_k = config.cdu_thermal_mass_j_per_k
+        self._flow_heat_capacity = self.flow_kg_per_s * WATER_CP
+        self._tau_s = self.thermal_mass_j_per_k / self._flow_heat_capacity
         self._return_temperature_c = config.supply_temperature_c
         self._heat_load_kw = 0.0
 
@@ -63,7 +66,7 @@ class CDU:
 
     def steady_state_return_c(self, heat_load_kw: float) -> float:
         """Return temperature the loop would settle at for a constant load."""
-        delta_t = (heat_load_kw * 1000.0) / (self.flow_kg_per_s * WATER_CP)
+        delta_t = (heat_load_kw * 1000.0) / self._flow_heat_capacity
         return self.config.supply_temperature_c + delta_t
 
     def step(self, heat_load_kw: float, dt_s: float) -> CDUState:
@@ -72,12 +75,7 @@ class CDU:
         The return temperature relaxes exponentially towards its steady-state
         value with time constant ``thermal_mass / (flow * cp)``.
         """
-        heat_load_kw = max(0.0, heat_load_kw)
-        target = self.steady_state_return_c(heat_load_kw)
-        tau = self.thermal_mass_j_per_k / (self.flow_kg_per_s * WATER_CP)
-        alpha = 1.0 - pow(2.718281828459045, -dt_s / tau) if tau > 0 else 1.0
-        self._return_temperature_c += alpha * (target - self._return_temperature_c)
-        self._heat_load_kw = heat_load_kw
+        advance_cdus((self,), heat_load_kw, dt_s)
         return self.state
 
     def heat_to_facility_kw(self) -> float:
@@ -88,3 +86,29 @@ class CDU:
         """Reset the loop to the nominal supply temperature with zero load."""
         self._return_temperature_c = self.config.supply_temperature_c
         self._heat_load_kw = 0.0
+
+
+def advance_cdus(cdus: Sequence[CDU], heat_load_kw: float, dt_s: float) -> float:
+    """Advance CDUs built from one config by ``dt_s`` seconds, each under
+    ``heat_load_kw`` of heat; returns the total heat passed to the facility
+    loop (kW).
+
+    The one copy of the CDU lag arithmetic: each return temperature relaxes
+    exponentially towards the steady state of :meth:`CDU.steady_state_return_c`
+    with time constant ``thermal_mass / (flow * cp)``. CDUs sharing a config
+    share that target and lag, so they are computed once from the first CDU;
+    :meth:`CDU.step` is the one-CDU case.
+    """
+    first = cdus[0]
+    if heat_load_kw < 0.0:
+        heat_load_kw = 0.0
+    target_c = first.steady_state_return_c(heat_load_kw)
+    tau_s = first._tau_s
+    alpha = 1.0 - pow(2.718281828459045, -dt_s / tau_s) if tau_s > 0 else 1.0
+    transfer_kw = first.effectiveness * heat_load_kw
+    heat_to_facility_kw = 0.0
+    for cdu in cdus:
+        cdu._return_temperature_c += alpha * (target_c - cdu._return_temperature_c)
+        cdu._heat_load_kw = heat_load_kw
+        heat_to_facility_kw += transfer_kw
+    return heat_to_facility_kw

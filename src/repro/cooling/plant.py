@@ -21,10 +21,11 @@ the nominal supply setpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..config import CoolingConfig
-from .cdu import CDU
+from .cdu import CDU, advance_cdus
 from .cooling_tower import CoolingTower
 
 
@@ -47,6 +48,20 @@ class CoolingPlantState:
         return self.it_power_kw + self.loss_power_kw + self.cooling_power_kw
 
 
+def power_usage_effectiveness(it_power_kw: float, overhead_kw: float) -> float:
+    """PUE = (IT + overhead) / IT, with the zero-IT branches of the module doc.
+
+    Overhead power with zero IT power makes PUE unbounded: ``inf`` rather
+    than the 1.0 floor, which would silently understate idle overhead in
+    any downstream aggregate. A facility drawing nothing at all is 1.0.
+    """
+    if it_power_kw > 0:
+        return (it_power_kw + overhead_kw) / it_power_kw
+    if overhead_kw > 0:
+        return math.inf
+    return 1.0
+
+
 class CoolingPlant:
     """Transient lumped cooling model for the whole data centre."""
 
@@ -54,12 +69,42 @@ class CoolingPlant:
         self.config = config
         self.cdus = [CDU(config) for _ in range(config.cdu_count)]
         self.tower = CoolingTower(config)
-        self._last_state: CoolingPlantState | None = None
+        # Per-step constants, hoisted out of :meth:`step`.
+        self._air_fraction = config.air_cooled_fraction
+        self._liquid_fraction = 1.0 - config.air_cooled_fraction
+        self._crac_cop = config.crac_cop
+        self._pump_fraction = config.pump_power_fraction
+        #: ``(now, it_kw, loss_kw, cooling_kw, pue)`` of the last step.
+        self._last: tuple[float, float, float, float, float] | None = None
 
     @property
     def last_state(self) -> CoolingPlantState | None:
-        """The most recent plant state, if :meth:`step` has been called."""
-        return self._last_state
+        """Snapshot of the plant after the most recent :meth:`step`, if any.
+
+        Built on demand from the plant's scalars and loop temperatures, so
+        stepping allocates no state objects.
+        """
+        if self._last is None:
+            return None
+        now, it_power_kw, loss_power_kw, cooling_power_kw, pue = self._last
+        tower = self.tower.state
+        return CoolingPlantState(
+            time_s=now,
+            it_power_kw=it_power_kw,
+            loss_power_kw=loss_power_kw,
+            cooling_power_kw=cooling_power_kw,
+            pue=pue,
+            # With no CDUs the secondary loop does not exist; report the
+            # nominal supply temperature rather than dividing by zero.
+            cdu_return_temperature_c=(
+                sum(cdu.state.return_temperature_c for cdu in self.cdus)
+                / len(self.cdus)
+                if self.cdus
+                else self.config.supply_temperature_c
+            ),
+            tower_return_temperature_c=tower.return_temperature_c,
+            tower_supply_temperature_c=tower.supply_temperature_c,
+        )
 
     def step(
         self,
@@ -67,13 +112,16 @@ class CoolingPlant:
         it_power_kw: float,
         loss_power_kw: float,
         dt_s: float,
-    ) -> CoolingPlantState:
+    ) -> tuple[float, float]:
         """Advance the cooling plant by one simulation step.
+
+        Returns ``(cooling_power_kw, pue)``; :attr:`last_state` has the
+        full snapshot.
 
         Parameters
         ----------
         now:
-            Simulation time at the *end* of the step (seconds).
+            Simulation time of the step (seconds).
         it_power_kw:
             IT (compute) power during the step, kW. All of it is assumed to
             become heat.
@@ -83,69 +131,41 @@ class CoolingPlant:
         dt_s:
             Step length in seconds.
         """
-        it_power_kw = max(0.0, it_power_kw)
-        loss_power_kw = max(0.0, loss_power_kw)
+        if it_power_kw < 0.0:
+            it_power_kw = 0.0
+        if loss_power_kw < 0.0:
+            loss_power_kw = 0.0
         total_heat_kw = it_power_kw + loss_power_kw
 
         # A fully air-cooled plant (cdu_count == 0) is forced to
         # air_cooled_fraction == 1.0 by CoolingConfig validation, so the
         # liquid share is zero exactly when there are no CDUs to take it.
-        liquid_heat_kw = total_heat_kw * (1.0 - self.config.air_cooled_fraction)
-        air_heat_kw = total_heat_kw * self.config.air_cooled_fraction
+        air_heat_kw = total_heat_kw * self._air_fraction
 
-        # Secondary loops: split the liquid-cooled heat evenly across CDUs.
-        cdu_returns: list[float] = []
-        heat_to_facility_kw = 0.0
-        if self.cdus:
-            per_cdu_heat = liquid_heat_kw / len(self.cdus)
-            for cdu in self.cdus:
-                state = cdu.step(per_cdu_heat, dt_s)
-                cdu_returns.append(state.return_temperature_c)
-                heat_to_facility_kw += cdu.heat_to_facility_kw()
+        # Secondary loops: split the liquid-cooled heat evenly across CDUs
+        # (built from one config, so they share one target and lag).
+        cdus = self.cdus
+        heat_to_facility_kw = (
+            advance_cdus(cdus, total_heat_kw * self._liquid_fraction / len(cdus), dt_s)
+            if cdus
+            else 0.0
+        )
 
         # Air-cooled heat is removed by CRACs, whose condenser heat also ends
         # up on the facility loop.
-        crac_power_kw = air_heat_kw / self.config.crac_cop if air_heat_kw > 0 else 0.0
+        crac_power_kw = air_heat_kw / self._crac_cop if air_heat_kw > 0 else 0.0
         facility_heat_kw = heat_to_facility_kw + air_heat_kw + crac_power_kw
+        fan_power_kw = self.tower.advance(facility_heat_kw, dt_s)
 
-        tower_state = self.tower.step(facility_heat_kw, dt_s)
-
-        pump_power_kw = self.config.pump_power_fraction * total_heat_kw
-        cooling_power_kw = pump_power_kw + tower_state.fan_power_kw + crac_power_kw
-
-        overhead_kw = loss_power_kw + cooling_power_kw
-        if it_power_kw > 0:
-            pue = (it_power_kw + overhead_kw) / it_power_kw
-        elif overhead_kw > 0:
-            # Overhead power with zero IT power: PUE is unbounded. Report
-            # inf rather than the 1.0 floor, which would silently understate
-            # idle overhead in any downstream aggregate.
-            pue = float("inf")
-        else:
-            pue = 1.0
-
-        state = CoolingPlantState(
-            time_s=now,
-            it_power_kw=it_power_kw,
-            loss_power_kw=loss_power_kw,
-            cooling_power_kw=cooling_power_kw,
-            pue=pue,
-            # With no CDUs the secondary loop does not exist; report the
-            # nominal supply temperature rather than dividing by zero.
-            cdu_return_temperature_c=(
-                sum(cdu_returns) / len(cdu_returns)
-                if cdu_returns
-                else self.config.supply_temperature_c
-            ),
-            tower_return_temperature_c=tower_state.return_temperature_c,
-            tower_supply_temperature_c=tower_state.supply_temperature_c,
-        )
-        self._last_state = state
-        return state
+        pump_power_kw = self._pump_fraction * total_heat_kw
+        cooling_power_kw = pump_power_kw + fan_power_kw + crac_power_kw
+        pue = power_usage_effectiveness(it_power_kw, loss_power_kw + cooling_power_kw)
+        self._last = (now, it_power_kw, loss_power_kw, cooling_power_kw, pue)
+        return cooling_power_kw, pue
 
     def reset(self) -> None:
         """Reset all loops to their nominal temperatures."""
         for cdu in self.cdus:
             cdu.reset()
         self.tower.reset()
-        self._last_state = None
+        self._last = None

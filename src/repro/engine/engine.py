@@ -26,6 +26,19 @@ to a dense tick-by-tick run up to floating-point associativity. Pass
 ``dense_ticks=True`` (CLI: ``--dense-ticks``) to force one sample per grid
 tick when an exact per-tick time series is needed.
 
+:meth:`SimulationEngine.step` is the only implementation of a step. It
+composes power, losses, cooling and statistics from plain scalars —
+:meth:`~repro.power.RunningSetPowerAggregator.totals`,
+:meth:`~repro.power.SystemPowerModel.idle_power_w`,
+:meth:`~repro.power.losses.ConversionLossModel.total_loss_kw`,
+:meth:`~repro.cooling.CoolingPlant.step` and
+:meth:`~repro.engine.stats.StatsCollector.record_tick` — so no sample or
+state object is built per step. :meth:`SimulationEngine.advance` is the run
+loop's body (finished check, horizon truncation, tick guard, one step):
+:meth:`SimulationEngine.run` loops on it, and the Monte Carlo batch kernel
+(:mod:`repro.engine.batch`) drives each replica through it from a shared
+heap.
+
 :func:`run_simulation` is the one-call entry point used by the CLI, the
 benchmark harness and the quick-start example: it resolves the system
 configuration, synthesises (or accepts) a workload, picks a policy and runs
@@ -41,7 +54,7 @@ from time import perf_counter_ns
 
 from ..cluster import NodeState, ResourceManager
 from ..config import SystemConfig, get_system_config
-from ..cooling import CoolingPlant
+from ..cooling import CoolingPlant, power_usage_effectiveness
 from ..devtools import hot_path
 from ..exceptions import AllocationError, SchedulingError, SimulationError
 from ..obs import Observability
@@ -265,7 +278,8 @@ class SimulationEngine:
         # Capacity is fixed after the down-node draw; precompute it so the
         # per-submission feasibility check is O(1) instead of an inventory scan.
         rm = self.resource_manager
-        self._in_service_nodes = rm.total_nodes - rm.down_nodes
+        self._down_nodes = rm.down_nodes
+        self._in_service_nodes = rm.total_nodes - self._down_nodes
         self._partition_capacity = {
             partition.name: sum(
                 1
@@ -303,6 +317,9 @@ class SimulationEngine:
             # worst case by at most the span of the signal definition.
             worst_case_s += signals.last_change_s
         self._max_ticks = int(worst_case_s / timestep) + 1000
+        self._steps_taken = 0
+        self._timestep_s = timestep
+        self._loss_model = self.power_model.loss_model
 
     # -- state queries ---------------------------------------------------------
 
@@ -314,7 +331,7 @@ class SimulationEngine:
     @property
     def finished(self) -> bool:
         """True once every job has completed or been dismissed."""
-        return not self._pending and not self._queue and not self.resource_manager.running_jobs
+        return not (self._pending or self._queue or self.resource_manager.running_by_id)
 
     # -- engine loop -----------------------------------------------------------
 
@@ -332,24 +349,28 @@ class SimulationEngine:
         ``is None`` check per phase.
         """
         now = self.now
-        timestep = float(self.system.timestep_s)
+        timestep = self._timestep_s
+        rm = self.resource_manager
+        stats = self.stats
+        scheduler = self.scheduler
         tracer = self._tracer
         events = self._events
         t0 = perf_counter_ns() if tracer is not None else 0
 
         # (1) Release jobs whose simulated runtime has elapsed.
-        for job in self.resource_manager.complete_finished_jobs(now):
-            self.stats.record_job(job)
+        for job in rm.complete_finished_jobs(now):
+            stats.record_job(job)
             if events is not None:
                 events.job_finished(job, now, energy_kwh=self._job_energy_kwh(job))
 
         # (2) Submit newly-arrived jobs (at their recorded submit times).
-        while self._pending and self._pending[0].submit_time <= now:
-            job = self._pending.popleft()
+        pending = self._pending
+        while pending and pending[0].submit_time <= now:
+            job = pending.popleft()
             if self._impossible(job):
                 job.mark_dismissed()
                 job.metadata["dismiss_reason"] = "request exceeds system capacity"
-                self.stats.record_job(job)
+                stats.record_job(job)
                 if events is not None:
                     events.job_dismissed(job, now)
                 continue
@@ -363,20 +384,18 @@ class SimulationEngine:
         # copying it into a tuple per step would cost O(queue) even on
         # steps where the policy is memoized to a no-op.
         if self._queue:
-            decisions = self.scheduler.schedule(
-                self._queue, self.resource_manager, now
-            )
+            decisions = scheduler.schedule(self._queue, rm, now)
             started: set[int] = set()
             for decision in decisions:
                 job = decision.job
                 if job.state is not JobState.QUEUED or job.job_id in started:
                     raise SchedulingError(
-                        f"policy {self.scheduler.name!r} scheduled job "
+                        f"policy {scheduler.name!r} scheduled job "
                         f"{job.job_id} which is not queued"
                     )
                 start = decision.start_time if decision.start_time is not None else now
                 try:
-                    self.resource_manager.allocate(
+                    rm.allocate(
                         job,
                         start,
                         node_ids=decision.node_ids,
@@ -384,7 +403,7 @@ class SimulationEngine:
                     )
                 except AllocationError as exc:
                     raise SchedulingError(
-                        f"policy {self.scheduler.name!r} produced an invalid "
+                        f"policy {scheduler.name!r} produced an invalid "
                         f"placement at t={now:.0f}: {exc}"
                     ) from exc
                 started.add(job.job_id)
@@ -393,11 +412,11 @@ class SimulationEngine:
             # Jobs a power-capped policy rejected outright (they can never
             # fit under any present-or-future cap) leave the queue here,
             # exactly like capacity-infeasible submissions.
-            dismissed = self.scheduler.drain_dismissals()
+            dismissed = scheduler.drain_dismissals()
             for job, reason in dismissed:
                 job.mark_dismissed()
                 job.metadata["dismiss_reason"] = reason
-                self.stats.record_job(job)
+                stats.record_job(job)
                 if events is not None:
                     events.job_dismissed(job, now, reason)
             if started or dismissed:
@@ -411,7 +430,7 @@ class SimulationEngine:
         # change before the next event. Only the running-set *size* is
         # needed from here on — materialising (and sorting) the job list
         # every step would reintroduce an O(R log R) pass.
-        running_count = len(self.resource_manager.running_by_id)
+        running_count = len(rm.running_by_id)
         if self.dense_ticks:
             dt_s = timestep
         else:
@@ -427,28 +446,34 @@ class SimulationEngine:
         if tracer is not None:
             t0 = self._mark("coalesce", t0)
 
-        # (4) Power on the running set, (5) cooling on the resulting heat.
-        # Node counts come from the resource manager's O(1) counters and the
-        # (immutable after the seed draw) down count; the power aggregator
-        # reuses cached per-job contributions, so the power evaluation of an
-        # event-free step is O(1) — profile lookups and model evaluations
-        # never rescan the running set. With the default event index the
-        # release check and event bounds are heap-backed too, so an
-        # event-free step is O(log R) end to end.
-        allocated = self.resource_manager.allocated_nodes
-        down = self.resource_manager.down_nodes
-        power = self.power_aggregator.sample(
-            now, allocated_nodes=allocated, down_nodes=down
+        # (4) Power on the running set. Node counts come from the resource
+        # manager's O(1) counters and the (immutable after the seed draw)
+        # down count; the power aggregator reuses cached per-job
+        # contributions, so the power evaluation of an event-free step is
+        # O(1) — profile lookups and model evaluations never rescan the
+        # running set. Composed exactly like SystemPowerModel.compose_sample:
+        # losses on (job_w + idle_w) / 1000, compute power as
+        # job_w / 1000 + idle_w / 1000.
+        allocated = rm.allocated_nodes
+        job_power_w, nodes_busy, cpu_weighted, gpu_weighted = (
+            self.power_aggregator.totals(now)
         )
+        idle_power_w = self.power_model.idle_power_w(allocated, self._down_nodes)
+        loss_kw = self._loss_model.total_loss_kw((job_power_w + idle_power_w) / 1000.0)
+        compute_power_kw = job_power_w / 1000.0 + idle_power_w / 1000.0
         if tracer is not None:
             t0 = self._mark("power", t0)
-        cooling = None
-        if self.cooling_plant is not None:
-            cooling = self.cooling_plant.step(
-                now, power.compute_power_kw, power.loss_kw, dt_s
-            )
+
+        # (5) Cooling on the resulting heat; without a plant, PUE counts the
+        # conversion losses alone.
+        plant = self.cooling_plant
+        if plant is not None:
+            cooling_kw, pue = plant.step(now, compute_power_kw, loss_kw, dt_s)
             if tracer is not None:
                 t0 = self._mark("cooling", t0)
+        else:
+            cooling_kw = 0.0
+            pue = power_usage_effectiveness(compute_power_kw, loss_kw)
 
         # (6) Statistics. Operating-signal values are piecewise constant and
         # every coalesced interval is bounded by the signals' change points
@@ -457,26 +482,68 @@ class SimulationEngine:
             power_cap_kw, price_per_kwh, carbon_kg_per_kwh = self.signals.values_at(now)
         else:
             power_cap_kw, price_per_kwh, carbon_kg_per_kwh = math.inf, 0.0, 0.0
-        self.stats.record_tick(
+        in_service = self._in_service_nodes
+        queue = self._queue
+        stats.record_tick(
             now,
             dt_s,
-            power,
-            cooling,
-            utilization=(
-                allocated / self._in_service_nodes if self._in_service_nodes else 0.0
-            ),
+            compute_power_kw=compute_power_kw,
+            loss_kw=loss_kw,
+            cooling_kw=cooling_kw,
+            pue=pue,
+            allocated_nodes=allocated,
+            utilization=allocated / in_service if in_service else 0.0,
             running_jobs=running_count,
-            queued_jobs=len(self._queue),
+            queued_jobs=len(queue),
+            mean_cpu_util=cpu_weighted / nodes_busy if nodes_busy else 0.0,
+            mean_gpu_util=gpu_weighted / nodes_busy if nodes_busy else 0.0,
             price_per_kwh=price_per_kwh,
             carbon_kg_per_kwh=carbon_kg_per_kwh,
             power_cap_kw=power_cap_kw,
-            cap_held_jobs=self.scheduler.held_jobs() if self._queue else 0,
+            cap_held_jobs=scheduler.held_jobs() if queue else 0,
         )
         if tracer is not None:
             self._mark("stats", t0)
         if self._queue_gauge is not None:
-            self._queue_gauge.set(float(len(self._queue)))
+            self._queue_gauge.set(float(len(queue)))
         self.now = now + dt_s
+
+    def advance(self) -> bool:
+        """One iteration of the run loop; ``False`` once the run is over.
+
+        Returns ``False`` when every job has completed or been dismissed, or
+        when the horizon is reached (after dismissing the jobs not yet
+        running and truncating the running ones, see
+        :meth:`_finish_at_horizon`). Otherwise takes one :meth:`step` and
+        returns ``True``. :meth:`run` loops on it, and the batch engine
+        (:mod:`repro.engine.batch`) drives each replica through it from its
+        shared heap.
+        """
+        if self.finished:
+            return False
+        if self.horizon_s is not None and self.now - self._start_time >= self.horizon_s:
+            self._finish_at_horizon()
+            return False
+        if self._steps_taken >= self._max_ticks:
+            raise SimulationError(
+                f"engine exceeded {self._max_ticks} ticks without draining "
+                f"the workload (policy {self.scheduler.name!r} stuck?)"
+            )
+        self.step()
+        self._steps_taken += 1
+        return True
+
+    def result(self) -> SimulationResult:
+        """The run's :class:`SimulationResult` as of now."""
+        return SimulationResult(
+            system=self.system,
+            policy=self.scheduler.name,
+            stats=self.stats,
+            jobs=self.jobs,
+            start_time_s=self._start_time,
+            end_time_s=self.now,
+            seed=self.seed,
+        )
 
     def run(self) -> SimulationResult:
         """Run to completion (all jobs finished, or the horizon reached)."""
@@ -495,55 +562,10 @@ class SimulationEngine:
             )
         if progress is not None:
             progress.start()
-        ticks = 0
-        while not self.finished:
-            if self.horizon_s is not None and self.now - self._start_time >= self.horizon_s:
-                if events is not None:
-                    events.milestone("horizon_reached", self.now)
-                self._dismiss_remaining("simulation horizon reached")
-                # Jobs still on nodes are truncated at the horizon so every
-                # job ends the run completed or dismissed (their partial
-                # node-hours and waits stay in the statistics). The release
-                # time is the horizon itself, not ``self.now``: the clock
-                # sits on the first tick boundary at or past the horizon,
-                # which for a non-grid-aligned horizon would credit runtime
-                # and node-hours the window never contained. A job whose
-                # natural end falls inside that final partial tick ends at
-                # its own end time and is not flagged as truncated.
-                horizon_end = self._start_time + self.horizon_s
-                for job in self.resource_manager.running_jobs:
-                    start = (
-                        job.sim_start_time if job.sim_start_time is not None else self.now
-                    )
-                    natural_end = start + job.duration
-                    end = min(self.now, horizon_end, natural_end)
-                    if end < natural_end:
-                        job.metadata["truncated_by_horizon"] = True
-                    self.resource_manager.release(job, end)
-                    self.stats.record_job(job)
-                    if events is not None:
-                        events.job_finished(
-                            job, end, energy_kwh=self._job_energy_kwh(job)
-                        )
-                break
-            if ticks >= self._max_ticks:
-                raise SimulationError(
-                    f"engine exceeded {self._max_ticks} ticks without draining "
-                    f"the workload (policy {self.scheduler.name!r} stuck?)"
-                )
-            self.step()
-            ticks += 1
+        while self.advance():
             if progress is not None and progress.due():
                 progress.report(self)
-        result = SimulationResult(
-            system=self.system,
-            policy=self.scheduler.name,
-            stats=self.stats,
-            jobs=self.jobs,
-            start_time_s=self._start_time,
-            end_time_s=self.now,
-            seed=self.seed,
-        )
+        result = self.result()
         if self.obs is not None:
             self._finalize_obs(result, run_t0)
         return result
@@ -650,6 +672,35 @@ class SimulationEngine:
                 events.job_dismissed(job, self.now, reason)
         self._pending.clear()
         self._queue.clear()
+
+    def _finish_at_horizon(self) -> None:
+        """Dismiss what is not running and truncate what is, at the horizon.
+
+        Jobs still on nodes are truncated so every job ends the run
+        completed or dismissed (their partial node-hours and waits stay in
+        the statistics). The release time is the horizon itself, not
+        ``self.now``: the clock sits on the first tick boundary at or past
+        the horizon, which for a non-grid-aligned horizon would credit
+        runtime and node-hours the window never contained. A job whose
+        natural end falls inside that final partial tick ends at its own end
+        time and is not flagged as truncated.
+        """
+        events = self._events
+        if events is not None:
+            events.milestone("horizon_reached", self.now)
+        self._dismiss_remaining("simulation horizon reached")
+        assert self.horizon_s is not None  # advance() gates on the horizon
+        horizon_end = self._start_time + self.horizon_s
+        for job in self.resource_manager.running_jobs:
+            start = job.sim_start_time if job.sim_start_time is not None else self.now
+            natural_end = start + job.duration
+            end = min(self.now, horizon_end, natural_end)
+            if end < natural_end:
+                job.metadata["truncated_by_horizon"] = True
+            self.resource_manager.release(job, end)
+            self.stats.record_job(job)
+            if events is not None:
+                events.job_finished(job, end, energy_kwh=self._job_energy_kwh(job))
 
     # -- observability ---------------------------------------------------------
 

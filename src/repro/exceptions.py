@@ -18,7 +18,7 @@ class ConfigurationError(SRapsError):
 
 
 class DataLoaderError(SRapsError):
-    """Raised when a dataloader cannot parse or synthesise its dataset."""
+    """Raised when telemetry input (a job record, profile or SWF trace) is malformed."""
 
 
 class SchedulingError(SRapsError):

@@ -12,6 +12,7 @@ changes total energy, not just its timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ class ConversionLossModel:
             raise ConfigurationError("peak_compute_power_kw must be positive")
         self.config = config
         self.peak_compute_power_kw = peak_compute_power_kw
+        # Scalar-path constants of the two efficiency curves.
+        self._sivoc_peak = config.sivoc_efficiency_peak
+        self._sivoc_span = config.sivoc_efficiency_peak - config.sivoc_efficiency_idle
+        self._rect_peak = config.rectifier_efficiency_peak
+        self._rect_span = config.rectifier_efficiency_peak - config.rectifier_efficiency_idle
 
     # -- efficiency curves ------------------------------------------------------
 
@@ -91,23 +97,41 @@ class ConversionLossModel:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def _stage_losses(self, compute_power_kw: float) -> tuple[float, float, float, float]:
+        """Clamped compute power and the sivoc, rectifier and switchgear losses (kW).
+
+        The scalar form of the two :meth:`_stage_efficiency` curves: plain
+        floats, ``math.exp`` and comparison clamps, so the per-step callers
+        pay no ``np`` scalar boxing. Both :meth:`evaluate` and
+        :meth:`total_loss_kw` are built on it, so they agree bit for bit.
+        """
+        if compute_power_kw < 0.0:
+            compute_power_kw = 0.0
+        load = compute_power_kw / self.peak_compute_power_kw
+        if load > 1.5:  # np.clip(load, 0.0, 1.5); load >= 0 already
+            load = 1.5
+        decay = math.exp(-8.0 * load)
+        sivoc_input = compute_power_kw / (self._sivoc_peak - self._sivoc_span * decay)
+        rect_input = sivoc_input / (self._rect_peak - self._rect_span * decay)
+        return (
+            compute_power_kw,
+            sivoc_input - compute_power_kw,
+            rect_input - sivoc_input,
+            rect_input * self.config.switchgear_loss_fraction,
+        )
+
+    def total_loss_kw(self, compute_power_kw: float) -> float:
+        """``evaluate(compute_power_kw).total_loss_kw`` without the breakdown object."""
+        _, sivoc_loss, rect_loss, switchgear_loss = self._stage_losses(compute_power_kw)
+        return sivoc_loss + rect_loss + switchgear_loss
+
     def evaluate(self, compute_power_kw: float) -> LossBreakdown:
         """Compute the loss breakdown for a given instantaneous compute power."""
-        compute_power_kw = max(0.0, float(compute_power_kw))
-        load = compute_power_kw / self.peak_compute_power_kw
-
-        sivoc_eff = float(self.sivoc_efficiency(load))
-        sivoc_input = compute_power_kw / sivoc_eff
-        sivoc_loss = sivoc_input - compute_power_kw
-
-        rect_eff = float(self.rectifier_efficiency(load))
-        rect_input = sivoc_input / rect_eff
-        rect_loss = rect_input - sivoc_input
-
-        switchgear_loss = rect_input * self.config.switchgear_loss_fraction
-
+        compute_kw, sivoc_loss, rect_loss, switchgear_loss = self._stage_losses(
+            float(compute_power_kw)
+        )
         return LossBreakdown(
-            compute_power_kw=compute_power_kw,
+            compute_power_kw=compute_kw,
             sivoc_loss_kw=sivoc_loss,
             rectifier_loss_kw=rect_loss,
             switchgear_loss_kw=switchgear_loss,

@@ -1,12 +1,14 @@
 """System-level power aggregation.
 
-At every simulation tick the engine hands the system power model the set of
-running jobs; the model evaluates each job's power (recorded trace if
-available, otherwise the component model applied to its utilization), adds
-the idle power of unallocated nodes, and applies the conversion-loss model to
-obtain facility-side power. The per-tick result is a
-:class:`SystemPowerSample` carrying the breakdown the statistics collector
-and cooling model consume.
+System power is each running job's power (recorded trace if available,
+otherwise the component model applied to its utilization), plus the idle
+power of unallocated nodes, plus the conversion losses on the sum. The
+engine step reads the running-set totals from
+:meth:`RunningSetPowerAggregator.totals` and adds idle power and losses
+through :meth:`SystemPowerModel.idle_power_w` and
+:meth:`~repro.power.losses.ConversionLossModel.total_loss_kw`;
+:class:`SystemPowerSample` is the same composition as an object, for callers
+that want the breakdown.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..cluster.resource_manager import ResourceManager
 from ..config import SystemConfig
 from ..devtools import hot_path
 from ..telemetry.job import Job
-from .losses import ConversionLossModel, LossBreakdown
+from .losses import ConversionLossModel
 from .node_power import NodePowerModel
 
 
@@ -66,6 +68,11 @@ class SystemPowerModel:
         self._default_partition = system.partitions[0].name
         self.loss_model = ConversionLossModel(
             system.power_loss, peak_compute_power_kw=system.peak_system_power_kw
+        )
+        self._total_nodes = system.total_nodes
+        self._partition_idle = tuple(
+            (partition.node_count, partition.node_power.min_w)
+            for partition in system.partitions
         )
 
     # -- per-job power ------------------------------------------------------------
@@ -189,6 +196,27 @@ class SystemPowerModel:
             down_nodes=down_nodes,
         )
 
+    def idle_power_w(self, allocated_nodes: int, down_nodes: int = 0) -> float:
+        """IT power of the unallocated in-service nodes (watts).
+
+        Idle power is accounted per partition, assuming busy nodes are drawn
+        from partitions in configuration order (sufficient for the
+        single-partition systems of the paper; multi-partition splits are
+        approximate).
+        """
+        remaining_idle = self._total_nodes - allocated_nodes - down_nodes
+        if remaining_idle < 0:
+            remaining_idle = 0
+        busy_remaining = allocated_nodes
+        idle_power_w = 0.0
+        for node_count, min_w in self._partition_idle:
+            busy_here = min(busy_remaining, node_count)
+            busy_remaining -= busy_here
+            idle_here = min(remaining_idle, node_count - busy_here)
+            remaining_idle -= idle_here
+            idle_power_w += idle_here * min_w
+        return idle_power_w
+
     def compose_sample(
         self,
         now: float,
@@ -205,38 +233,23 @@ class SystemPowerModel:
         Shared by the scanning :meth:`sample` and the incremental
         :class:`RunningSetPowerAggregator`: given the summed job power and
         node-weighted utilizations, add the idle power of unallocated nodes
-        and the conversion losses.
+        and the conversion losses. The engine step composes the same
+        quantities from the same helpers (:meth:`idle_power_w`,
+        :meth:`ConversionLossModel.total_loss_kw`) with the same two
+        associations: losses on ``(job_w + idle_w) / 1000``, compute power
+        as ``job_w / 1000 + idle_w / 1000``.
         """
         if allocated_nodes is None:
             allocated_nodes = nodes_busy
-
-        idle_nodes = max(0, self.system.total_nodes - allocated_nodes - down_nodes)
-        idle_power_w = 0.0
-        remaining_idle = idle_nodes
-        # Idle power accounted per partition, assuming busy nodes are drawn
-        # from partitions in configuration order (sufficient for the
-        # single-partition systems of the paper; multi-partition splits are
-        # approximate).
-        busy_remaining = allocated_nodes
-        for partition in self.system.partitions:
-            busy_here = min(busy_remaining, partition.node_count)
-            busy_remaining -= busy_here
-            idle_here = min(remaining_idle, partition.node_count - busy_here)
-            remaining_idle -= idle_here
-            idle_power_w += idle_here * partition.node_power.min_w
-
-        compute_kw = (job_power_w + idle_power_w) / 1000.0
-        losses: LossBreakdown = self.loss_model.evaluate(compute_kw)
-
-        total_busy = max(1, nodes_busy)
+        idle_power_w = self.idle_power_w(allocated_nodes, down_nodes)
         return SystemPowerSample(
             time_s=now,
             job_power_kw=job_power_w / 1000.0,
             idle_power_kw=idle_power_w / 1000.0,
-            loss_kw=losses.total_loss_kw,
+            loss_kw=self.loss_model.total_loss_kw((job_power_w + idle_power_w) / 1000.0),
             allocated_nodes=allocated_nodes,
-            mean_cpu_util=cpu_weighted / total_busy if nodes_busy else 0.0,
-            mean_gpu_util=gpu_weighted / total_busy if nodes_busy else 0.0,
+            mean_cpu_util=cpu_weighted / nodes_busy if nodes_busy else 0.0,
+            mean_gpu_util=gpu_weighted / nodes_busy if nodes_busy else 0.0,
         )
 
 
@@ -614,17 +627,31 @@ class RunningSetPowerAggregator:
         down_nodes: int = 0,
     ) -> SystemPowerSample:
         """System power at ``now``, recomputing only what changed."""
-        self._refresh(now)
-        if allocated_nodes is None:
-            allocated_nodes = self._nodes_busy
+        job_power_w, nodes_busy, cpu_weighted, gpu_weighted = self.totals(now)
         return self._model.compose_sample(
             now,
-            self._job_power_w,
-            nodes_busy=self._nodes_busy,
-            cpu_weighted=self._cpu_weighted,
-            gpu_weighted=self._gpu_weighted,
+            job_power_w,
+            nodes_busy=nodes_busy,
+            cpu_weighted=cpu_weighted,
+            gpu_weighted=gpu_weighted,
             allocated_nodes=allocated_nodes,
             down_nodes=down_nodes,
+        )
+
+    @hot_path
+    def totals(self, now: float) -> tuple[float, int, float, float]:
+        """Running-set totals at ``now``: ``(job_power_w, nodes_busy,
+        cpu_weighted, gpu_weighted)``, recomputing only what changed.
+
+        The engine step composes its power figures from these directly;
+        :meth:`sample` wraps them into a :class:`SystemPowerSample`.
+        """
+        self._refresh(now)
+        return (
+            self._job_power_w,
+            self._nodes_busy,
+            self._cpu_weighted,
+            self._gpu_weighted,
         )
 
     @hot_path

@@ -64,7 +64,19 @@ def _assert_summaries_equal(batched, serial, label):
         ), f"{label}/{key} drifted beyond 1e-9 between batched and serial"
     # Per-job outcomes must agree job for job (relative job order is
     # deterministic; absolute ids differ because the counter is global).
-    assert [j.state for j in batched.jobs] == [j.state for j in serial.jobs]
+    assert [_job_outcome(j) for j in batched.jobs] == [
+        _job_outcome(j) for j in serial.jobs
+    ], f"{label}: per-job outcomes differ between batched and serial"
+
+
+def _job_outcome(job):
+    return (
+        job.state,
+        job.sim_start_time,
+        job.sim_end_time,
+        job.metadata.get("dismiss_reason"),
+        job.metadata.get("truncated_by_horizon"),
+    )
 
 
 def _assert_batch_matches_serial(request, seeds):
@@ -162,6 +174,29 @@ class TestBatchEngine:
         for replica in engine.engines:
             per_replica = replica.power_aggregator.observability_counters()
             assert per_replica["prebuilt_state_hits"] > 0
+
+    def test_replicas_advance_through_the_engine_step(self, monkeypatch):
+        # The batch kernel has no step of its own: every replica step is a
+        # SimulationEngine.step call, one per recorded sample.
+        from repro.engine import SimulationEngine
+
+        calls: dict[int, int] = {}
+        original_step = SimulationEngine.step
+
+        def counting_step(engine):
+            calls[id(engine.stats)] = calls.get(id(engine.stats), 0) + 1
+            original_step(engine)
+
+        monkeypatch.setattr(SimulationEngine, "step", counting_step)
+        request = RunRequest(
+            system="tiny", policy="backfill", duration_s=3600.0, spec=busy_trace_spec()
+        )
+        results = run_batch(request, [3, 4, 5])
+        assert len(calls) == len(results)
+        for result in results:
+            ticks = result.summary()["ticks"]
+            assert ticks > 0
+            assert calls[id(result.stats)] == ticks
 
     def test_results_in_replica_order(self, tiny_system):
         seeds = [11, 7, 23]

@@ -10,6 +10,15 @@ from repro.config import CoolingConfig
 from repro.cooling import CDU, CoolingPlant, CoolingTower
 
 
+def _step(plant, *args, **kwargs):
+    """Step ``plant`` and return its snapshot, checking the scalar return
+    agrees with it bit for bit."""
+    cooling_power_kw, pue = plant.step(*args, **kwargs)
+    state = plant.last_state
+    assert (cooling_power_kw, pue) == (state.cooling_power_kw, state.pue)
+    return state
+
+
 @pytest.fixture
 def cooling_config():
     return CoolingConfig(
@@ -107,14 +116,14 @@ class TestCoolingTower:
 class TestCoolingPlant:
     def test_pue_above_one(self, cooling_config):
         plant = CoolingPlant(cooling_config)
-        state = plant.step(60.0, it_power_kw=5000.0, loss_power_kw=200.0, dt_s=60.0)
+        state = _step(plant, 60.0, it_power_kw=5000.0, loss_power_kw=200.0, dt_s=60.0)
         assert state.pue > 1.0
         assert state.total_facility_power_kw > state.it_power_kw
 
     def test_pue_reasonable_at_high_load(self, cooling_config):
         plant = CoolingPlant(cooling_config)
         for t in range(100):
-            state = plant.step(t * 60.0, it_power_kw=20000.0, loss_power_kw=600.0, dt_s=60.0)
+            state = _step(plant, t * 60.0, it_power_kw=20000.0, loss_power_kw=600.0, dt_s=60.0)
         assert 1.02 < state.pue < 1.25
 
     def test_pue_rises_at_low_load(self, cooling_config):
@@ -122,13 +131,13 @@ class TestCoolingPlant:
         plant_low = CoolingPlant(cooling_config)
         plant_high = CoolingPlant(cooling_config)
         for t in range(50):
-            low = plant_low.step(t * 60.0, it_power_kw=100.0, loss_power_kw=30.0, dt_s=60.0)
-            high = plant_high.step(t * 60.0, it_power_kw=20000.0, loss_power_kw=600.0, dt_s=60.0)
+            low = _step(plant_low, t * 60.0, it_power_kw=100.0, loss_power_kw=30.0, dt_s=60.0)
+            high = _step(plant_high, t * 60.0, it_power_kw=20000.0, loss_power_kw=600.0, dt_s=60.0)
         assert low.pue > high.pue
 
     def test_zero_it_power(self, cooling_config):
         plant = CoolingPlant(cooling_config)
-        state = plant.step(60.0, it_power_kw=0.0, loss_power_kw=0.0, dt_s=60.0)
+        state = _step(plant, 60.0, it_power_kw=0.0, loss_power_kw=0.0, dt_s=60.0)
         # Nothing is drawn at all: PUE degenerates to the 1.0 identity.
         assert state.pue == pytest.approx(1.0)
         assert state.cooling_power_kw == pytest.approx(0.0)
@@ -137,7 +146,7 @@ class TestCoolingPlant:
         # Losses keep dissipating (and being cooled) with no IT power to
         # attribute them to: PUE is unbounded, not the flattering 1.0 floor.
         plant = CoolingPlant(cooling_config)
-        state = plant.step(60.0, it_power_kw=0.0, loss_power_kw=50.0, dt_s=60.0)
+        state = _step(plant, 60.0, it_power_kw=0.0, loss_power_kw=50.0, dt_s=60.0)
         assert state.pue == float("inf")
         assert state.cooling_power_kw > 0.0
         assert state.total_facility_power_kw > 0.0
@@ -147,7 +156,7 @@ class TestCoolingPlant:
         # and must route all heat through the CRAC/facility path.
         config = CoolingConfig(cdu_count=0, air_cooled_fraction=1.0)
         plant = CoolingPlant(config)
-        state = plant.step(60.0, it_power_kw=5000.0, loss_power_kw=100.0, dt_s=60.0)
+        state = _step(plant, 60.0, it_power_kw=5000.0, loss_power_kw=100.0, dt_s=60.0)
         assert state.pue > 1.0
         # CRAC compressor power for the whole load dominates the overhead.
         assert state.cooling_power_kw > (5000.0 + 100.0) / config.crac_cop * 0.9
@@ -168,13 +177,13 @@ class TestCoolingPlant:
         """Cooling tower return temperature rises after a power step (Fig. 6 behaviour)."""
         plant = CoolingPlant(cooling_config)
         for t in range(50):
-            baseline = plant.step(t * 60.0, it_power_kw=2000.0, loss_power_kw=50.0, dt_s=60.0)
-        first_after_step = plant.step(
-            51 * 60.0, it_power_kw=15000.0, loss_power_kw=300.0, dt_s=60.0
+            baseline = _step(plant, t * 60.0, it_power_kw=2000.0, loss_power_kw=50.0, dt_s=60.0)
+        first_after_step = _step(
+            plant, 51 * 60.0, it_power_kw=15000.0, loss_power_kw=300.0, dt_s=60.0
         )
         later = first_after_step
         for t in range(52, 200):
-            later = plant.step(t * 60.0, it_power_kw=15000.0, loss_power_kw=300.0, dt_s=60.0)
+            later = _step(plant, t * 60.0, it_power_kw=15000.0, loss_power_kw=300.0, dt_s=60.0)
         assert later.tower_return_temperature_c > baseline.tower_return_temperature_c
         # Lag: immediately after the step the temperature has not yet reached
         # its eventual level.
@@ -183,8 +192,8 @@ class TestCoolingPlant:
     def test_air_cooled_fraction_adds_crac_power(self):
         liquid = CoolingConfig(cdu_count=2, air_cooled_fraction=0.0)
         hybrid = CoolingConfig(cdu_count=2, air_cooled_fraction=0.3)
-        p_liquid = CoolingPlant(liquid).step(60.0, 5000.0, 100.0, 60.0)
-        p_hybrid = CoolingPlant(hybrid).step(60.0, 5000.0, 100.0, 60.0)
+        p_liquid = _step(CoolingPlant(liquid), 60.0, 5000.0, 100.0, 60.0)
+        p_hybrid = _step(CoolingPlant(hybrid), 60.0, 5000.0, 100.0, 60.0)
         assert p_hybrid.cooling_power_kw > p_liquid.cooling_power_kw
         assert p_hybrid.pue > p_liquid.pue
 
@@ -197,13 +206,28 @@ class TestCoolingPlant:
     def test_last_state_tracked(self, cooling_config):
         plant = CoolingPlant(cooling_config)
         assert plant.last_state is None
-        state = plant.step(60.0, 1000.0, 10.0, 60.0)
-        assert plant.last_state is state
+        cooling_power_kw, pue = plant.step(60.0, 1000.0, 10.0, 60.0)
+        state = plant.last_state
+        assert state.time_s == 60.0
+        assert state.it_power_kw == 1000.0
+        assert state.loss_power_kw == 10.0
+        assert (state.cooling_power_kw, state.pue) == (cooling_power_kw, pue)
+        assert state.tower_return_temperature_c == plant.tower.state.return_temperature_c
+        assert state.cdu_return_temperature_c == pytest.approx(
+            plant.cdus[0].state.return_temperature_c
+        )
+
+    def test_power_usage_effectiveness_branches(self):
+        from repro.cooling import power_usage_effectiveness
+
+        assert power_usage_effectiveness(100.0, 7.0) == 107.0 / 100.0
+        assert power_usage_effectiveness(0.0, 7.0) == float("inf")
+        assert power_usage_effectiveness(0.0, 0.0) == 1.0
 
     @given(power=st.floats(min_value=0.0, max_value=50000.0))
     @settings(max_examples=30, deadline=None)
     def test_pue_always_at_least_one_property(self, power):
         plant = CoolingPlant(CoolingConfig(cdu_count=4))
-        state = plant.step(60.0, it_power_kw=power, loss_power_kw=power * 0.03, dt_s=60.0)
+        state = _step(plant, 60.0, it_power_kw=power, loss_power_kw=power * 0.03, dt_s=60.0)
         assert state.pue >= 1.0
         assert state.cooling_power_kw >= 0.0

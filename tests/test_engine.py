@@ -535,3 +535,74 @@ class TestRunSimulation:
         summary = result.summary()
         assert summary["cooling_energy_kwh"] == 0.0
         assert summary["mean_pue"] >= 1.0
+
+
+class TestAdvance:
+    """``advance()`` is the run loop's body, shared with the batch kernel."""
+
+    def test_advance_steps_until_finished(self, tiny_system, tiny_workload):
+        engine = SimulationEngine(tiny_system, tiny_workload, "fcfs")
+        steps = 0
+        while engine.advance():
+            steps += 1
+        assert engine.finished
+        assert engine.advance() is False  # idempotent once over
+        summary = engine.result().summary()
+        assert summary["ticks"] == steps
+        assert summary == SimulationEngine(tiny_system, tiny_workload, "fcfs").run().summary()
+
+    def test_advance_stops_at_horizon(self, tiny_system):
+        jobs = [make_job(nodes=4, submit=0.0, duration=7200.0)]
+        engine = SimulationEngine(tiny_system, jobs, "fcfs", horizon_s=1000.0)
+        while engine.advance():
+            pass
+        assert engine.finished
+        (job,) = engine.jobs
+        assert job.metadata["truncated_by_horizon"] is True
+        assert job.sim_end_time == pytest.approx(1000.0)
+
+    def test_advance_enforces_the_tick_guard(self, tiny_system):
+        jobs = [make_job(nodes=4, submit=0.0, duration=7200.0)]
+        engine = SimulationEngine(tiny_system, jobs, "fcfs", dense_ticks=True)
+        engine._max_ticks = 3
+        for _ in range(3):
+            assert engine.advance()
+        with pytest.raises(SRapsError, match="exceeded 3 ticks"):
+            engine.advance()
+
+
+class TestStepAllocations:
+    """The engine step composes power, cooling and stats from scalars."""
+
+    @pytest.mark.parametrize("system_name", ["tiny", "marconi100"])
+    def test_step_builds_no_sample_objects(self, monkeypatch, tiny_workload, system_name):
+        from repro.cooling import CDUState, CoolingPlantState, CoolingTowerState
+        from repro.engine.stats import TickSample
+        from repro.power.losses import LossBreakdown
+        from repro.power.system_power import SystemPowerSample
+
+        built: dict[str, int] = {}
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls.__name__] = built.get(cls.__name__, 0) + 1
+                original(self, *args, **kwargs)
+
+            return init
+
+        for cls in (
+            LossBreakdown,
+            SystemPowerSample,
+            CoolingPlantState,
+            CDUState,
+            CoolingTowerState,
+            TickSample,
+        ):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        result = SimulationEngine(
+            get_system_config(system_name), tiny_workload, "backfill"
+        ).run()
+        assert result.summary()["ticks"] > 0
+        assert built == {}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import PowerLossConfig, get_system_config
@@ -72,20 +72,28 @@ class TestSystemIdlePower:
         )
 
 
+def _evaluate(model, compute_power_kw):
+    """``model.evaluate``, checking the scalar ``total_loss_kw`` path agrees
+    with the breakdown bit for bit."""
+    breakdown = model.evaluate(compute_power_kw)
+    assert model.total_loss_kw(compute_power_kw) == breakdown.total_loss_kw
+    return breakdown
+
+
 class TestConversionLossModel:
     @pytest.fixture
     def model(self):
         return ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=1000.0)
 
     def test_losses_positive(self, model):
-        breakdown = model.evaluate(500.0)
+        breakdown = _evaluate(model, 500.0)
         assert breakdown.sivoc_loss_kw > 0
         assert breakdown.rectifier_loss_kw > 0
         assert breakdown.switchgear_loss_kw > 0
         assert breakdown.facility_power_kw > 500.0
 
     def test_zero_power(self, model):
-        breakdown = model.evaluate(0.0)
+        breakdown = _evaluate(model, 0.0)
         assert breakdown.total_loss_kw == pytest.approx(0.0)
         assert breakdown.efficiency == pytest.approx(1.0)
 
@@ -109,17 +117,20 @@ class TestConversionLossModel:
         assert eff.max() <= PowerLossConfig().rectifier_efficiency_peak + 1e-9
 
     def test_negative_power_clamped(self, model):
-        assert model.evaluate(-10.0).facility_power_kw == 0.0
+        assert _evaluate(model, -10.0).facility_power_kw == 0.0
 
     def test_invalid_peak_power(self):
         with pytest.raises(ConfigurationError):
             ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=0.0)
 
     @given(power=st.floats(min_value=0.0, max_value=2000.0))
+    @example(power=-25.0)
+    @example(power=0.0)
+    @example(power=1800.0)  # load above the 1.5x clamp
     @settings(max_examples=50, deadline=None)
     def test_facility_at_least_compute_property(self, power):
         model = ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=1000.0)
-        breakdown = model.evaluate(power)
+        breakdown = _evaluate(model, power)
         assert breakdown.facility_power_kw >= breakdown.compute_power_kw
 
 
@@ -198,6 +209,21 @@ class TestSystemPowerModel:
         with_down = model.sample(0.0, [], down_nodes=16)
         without = model.sample(0.0, [])
         assert with_down.idle_power_kw < without.idle_power_kw
+
+    def test_idle_power_fills_partitions_in_config_order(self, two_partition_system):
+        model = SystemPowerModel(two_partition_system)
+        cpu_w, gpu_w = (
+            p.node_power.min_w for p in two_partition_system.partitions
+        )
+        assert model.idle_power_w(0) == 16 * cpu_w + 8 * gpu_w
+        # Busy nodes come out of the first partition first.
+        assert model.idle_power_w(10) == 6 * cpu_w + 8 * gpu_w
+        assert model.idle_power_w(20) == 4 * gpu_w
+        # Down nodes leave the idle pool from the end.
+        assert model.idle_power_w(10, down_nodes=5) == 6 * cpu_w + 3 * gpu_w
+        assert model.idle_power_w(30) == 0.0
+        sample = model.sample(0.0, [], allocated_nodes=10, down_nodes=5)
+        assert sample.idle_power_kw == model.idle_power_w(10, 5) / 1000.0
 
 
 def _profile_from(draw_values, duration):
@@ -446,6 +472,22 @@ class TestRunningSetPowerAggregator:
             self._assert_matches(
                 agg.sample(now), model.sample(now, rm.running_jobs)
             )
+
+    def test_totals_compose_the_sample(self, rig):
+        model, rm, agg = rig
+        job = make_job(nodes=4, submit=0.0, duration=600.0, cpu=0.6, gpu=0.3)
+        job.mark_queued(0.0)
+        rm.allocate(job, 0.0)
+        job_power_w, nodes_busy, cpu_weighted, gpu_weighted = agg.totals(30.0)
+        assert nodes_busy == 4
+        assert agg.sample(30.0, allocated_nodes=4) == model.compose_sample(
+            30.0,
+            job_power_w,
+            nodes_busy=nodes_busy,
+            cpu_weighted=cpu_weighted,
+            gpu_weighted=gpu_weighted,
+            allocated_nodes=4,
+        )
 
     def test_recorded_power_trace_wins_over_model(self, rig):
         model, rm, agg = rig
