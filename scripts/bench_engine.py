@@ -22,25 +22,19 @@ numbers written to ``BENCH_engine.json`` in the repository root:
 
 ``engine_frontier_scale``
     A 12 h window on the 9,600-node ``frontier`` system holding ~2,000
-    concurrently running jobs, run four ways: dense, event-driven with the
-    O(log R) event indexes (end-time heap + breakpoint heap, the default),
-    event-driven with the historical O(R) running-set scans
-    (``event_index=False``), and event-driven with the per-job/per-call hot
-    paths (``vectorized=False``). The scan-vs-heap and per-job-vs-batched
-    wall-clock-per-step comparisons are the point: with heaps the per-step
-    cost no longer scales with the running-set size, and with the batched
-    job-start path the per-*event* cost no longer pays per-job numpy
-    overhead — while the summaries stay identical.
+    concurrently running jobs, run dense vs event-driven. The event-driven
+    per-step cost comes from the O(log R) event indexes (end-time heap +
+    breakpoint heap), so it does not scale with the running-set size; the
+    test suite checks those heaps against the O(R) scans before every step
+    of a one-hour slice of this workload.
 
 ``engine_burst_arrival``
     Thousands of same-tick releases on ``frontier`` (the post-maintenance
-    queue-drain restart: 3,000 jobs per burst), run dense, event-driven
-    (batched job-start power states, the default) and event-driven with
-    per-job state construction (``vectorized=False``). The batched path
-    builds every same-refresh job's power state in one vectorised pass —
-    one node-power-model evaluation per refresh, not per job — and the
-    per-job baseline is retained behind the flag as the differential,
-    gated at 1e-9 exactly like scan-vs-heap.
+    queue-drain restart: 3,000 jobs per burst), run dense vs event-driven.
+    The engine builds every same-refresh job's power state in one
+    vectorised pass — one node-power-model evaluation per refresh, not per
+    job; the test suite holds that pass to the per-job construction at bit
+    equality.
 
 ``engine_power_cap``
     The busy-trace window re-run under operating signals: a binding IT
@@ -84,11 +78,8 @@ record, the dense-vs-event summary drift of the idle-heavy, busy-trace,
 frontier-scale and burst-arrival benchmarks is gated at 1e-9 relative —
 the equivalence guarantee is part of the engine's contract, so CI fails if
 coalescing ever changes a metric. The frontier-scale benchmark additionally
-gates the scan-vs-heap drift at 1e-9 (the event indexes change complexity,
-not semantics) and requires >= 1000 concurrently running jobs, so the
-workload can never silently shrink below the scale the benchmark exists to
-cover; the frontier-scale and burst-arrival benchmarks gate the
-batched-vs-per-job drift at 1e-9 the same way.
+requires >= 1000 concurrently running jobs, so the workload can never
+silently shrink below the scale the benchmark exists to cover.
 
 Two tooling extras ride along:
 
@@ -186,13 +177,9 @@ def idle_heavy_spec() -> WorkloadSpec:
     )
 
 
-def _timed_run(
-    system, workload, policy, seed, *,
-    dense_ticks=False, event_index=True, vectorized=True, signals=None,
-):
+def _timed_run(system, workload, policy, seed, *, dense_ticks=False, signals=None):
     engine = SimulationEngine(
-        system, workload, policy, seed=seed, dense_ticks=dense_ticks,
-        event_index=event_index, vectorized=vectorized, signals=signals,
+        system, workload, policy, seed=seed, dense_ticks=dense_ticks, signals=signals,
     )
     started = time.perf_counter()
     result = engine.run()
@@ -407,8 +394,7 @@ def bench_power_cap(args, system):
 
 
 def bench_frontier_scale(args):
-    """Thousands of concurrent jobs: event-index heaps vs running-set scans,
-    batched job-start construction vs the retained per-job baseline."""
+    """Thousands of concurrent jobs, dense vs event-driven."""
     system = get_system_config(args.frontier_system)
     duration_s = parse_duration(args.frontier_duration)
     generator = SyntheticWorkloadGenerator(system, frontier_scale_spec(), seed=args.seed)
@@ -418,12 +404,6 @@ def bench_frontier_scale(args):
         system, workload, args.policy, args.seed, dense_ticks=True
     )
     event_summary, event = _timed_run(system, workload, args.policy, args.seed)
-    scan_summary, scan = _timed_run(
-        system, workload, args.policy, args.seed, event_index=False
-    )
-    perjob_summary, perjob = _timed_run(
-        system, workload, args.policy, args.seed, vectorized=False
-    )
     if args.profile:
         PROFILE_TARGETS.append((
             "engine_frontier_scale (event-driven)",
@@ -441,37 +421,22 @@ def bench_frontier_scale(args):
         "mean_utilization": event_summary["mean_utilization"],
         "dense": dense,
         "event_driven": event,
-        "event_driven_scan": scan,
-        "event_driven_perjob": perjob,
         "phase_breakdown": _phase_breakdown(system, workload, args.policy, args.seed),
         "step_reduction": dense["steps"] / event["steps"] if event["steps"] else math.inf,
-        "scan_vs_heap_wall_ratio": (
-            scan["wall_s"] / event["wall_s"] if event["wall_s"] else math.inf
-        ),
-        "perjob_vs_batched_wall_ratio": (
-            perjob["wall_s"] / event["wall_s"] if event["wall_s"] else math.inf
-        ),
         "max_summary_drift_rel": _summary_drift(event_summary, dense_summary),
-        "scan_vs_heap_drift_rel": _summary_drift(scan_summary, event_summary),
-        "perjob_vs_batched_drift_rel": _summary_drift(perjob_summary, event_summary),
     }
     print(
         f"frontier-scale: {len(workload)} jobs over {args.frontier_duration}, "
         f"{event['max_running_jobs']} max concurrent; "
-        f"{event['wall_us_per_step']:.0f}us/step with event heaps vs "
-        f"{scan['wall_us_per_step']:.0f}us/step with running-set scans "
-        f"({record['scan_vs_heap_wall_ratio']:.1f}x) and "
-        f"{perjob['wall_us_per_step']:.0f}us/step with per-job starts "
-        f"({record['perjob_vs_batched_wall_ratio']:.1f}x), "
-        f"scan drift {record['scan_vs_heap_drift_rel']:.2e}, "
-        f"per-job drift {record['perjob_vs_batched_drift_rel']:.2e}, "
+        f"{event['wall_us_per_step']:.0f}us/step event-driven "
+        f"({record['step_reduction']:.1f}x fewer steps than dense), "
         f"dense drift {record['max_summary_drift_rel']:.2e}"
     )
     return record
 
 
 def bench_burst_arrival(args):
-    """Thousands of same-tick releases: batched vs per-job job-start states."""
+    """Thousands of same-tick releases, dense vs event-driven."""
     system = get_system_config(args.frontier_system)
     duration_s = parse_duration(args.burst_duration)
     generator = SyntheticWorkloadGenerator(system, burst_arrival_spec(), seed=args.seed)
@@ -484,9 +449,6 @@ def bench_burst_arrival(args):
         system, workload, policy, args.seed, dense_ticks=True
     )
     batched_summary, batched = _timed_run(system, workload, policy, args.seed)
-    perjob_summary, perjob = _timed_run(
-        system, workload, policy, args.seed, vectorized=False
-    )
     if args.profile:
         PROFILE_TARGETS.append((
             "engine_burst_arrival (event-driven, batched)",
@@ -504,23 +466,16 @@ def bench_burst_arrival(args):
         "mean_utilization": batched_summary["mean_utilization"],
         "dense": dense,
         "event_driven": batched,
-        "event_driven_perjob": perjob,
         "phase_breakdown": _phase_breakdown(system, workload, policy, args.seed),
         "step_reduction": (
             dense["steps"] / batched["steps"] if batched["steps"] else math.inf
         ),
-        "perjob_vs_batched_wall_ratio": (
-            perjob["wall_s"] / batched["wall_s"] if batched["wall_s"] else math.inf
-        ),
         "max_summary_drift_rel": _summary_drift(batched_summary, dense_summary),
-        "perjob_vs_batched_drift_rel": _summary_drift(perjob_summary, batched_summary),
     }
     print(
         f"burst-arrival: {len(workload)} jobs over {args.burst_duration} "
-        f"(3000-job bursts); {batched['wall_us_per_step']:.0f}us/step batched vs "
-        f"{perjob['wall_us_per_step']:.0f}us/step per-job "
-        f"({record['perjob_vs_batched_wall_ratio']:.1f}x), "
-        f"per-job drift {record['perjob_vs_batched_drift_rel']:.2e}, "
+        f"(3000-job bursts); {batched['wall_us_per_step']:.0f}us/step event-driven "
+        f"({record['step_reduction']:.1f}x fewer steps than dense), "
         f"dense drift {record['max_summary_drift_rel']:.2e}"
     )
     return record
@@ -1009,24 +964,6 @@ def main() -> int:
             f"{power_cap_record['step_reduction']:.2f}x < "
             f"{POWER_CAP_MIN_STEP_REDUCTION:.0f}x; holding jobs forces dense stepping"
         )
-    # The event indexes (end-time heap, breakpoint heap) change complexity,
-    # never semantics: the scan path must reproduce the heap path exactly.
-    if not frontier_record["scan_vs_heap_drift_rel"] <= EQUIVALENCE_RTOL:
-        equivalence_failures.append(
-            f"{frontier_record['benchmark']}: scan-vs-heap summary drift "
-            f"{frontier_record['scan_vs_heap_drift_rel']:.3e} > "
-            f"{EQUIVALENCE_RTOL:.0e}"
-        )
-    # Likewise the batched job-start path (vectorised construction, journal
-    # membership sync, indexed reservations) changes cost, never semantics:
-    # the retained per-job baseline must reproduce it to the same tolerance.
-    for rec in (frontier_record, burst_record):
-        if not rec["perjob_vs_batched_drift_rel"] <= EQUIVALENCE_RTOL:
-            equivalence_failures.append(
-                f"{rec['benchmark']}: per-job-vs-batched summary drift "
-                f"{rec['perjob_vs_batched_drift_rel']:.3e} > "
-                f"{EQUIVALENCE_RTOL:.0e}"
-            )
     # The sweep is an orchestration layer over the same engine, so it gets
     # the same contract: every run completes, and the pooled store must
     # reproduce the single-process store (itself direct run_request output)

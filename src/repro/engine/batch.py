@@ -97,7 +97,7 @@ class PrebuiltPowerStateAggregator(RunningSetPowerAggregator):
         resource_manager: ResourceManager,
         pool: _GridPool,
     ) -> None:
-        super().__init__(model, resource_manager, batch_states=True)
+        super().__init__(model, resource_manager)
         self._pool = pool
         #: Job starts served from the prebuilt pool (plain int, folded into
         #: the metrics registry at run finalisation like the other counters).
@@ -147,7 +147,7 @@ class BatchSimulationEngine:
     seeds:
         Per-replica seeds (resource-manager down-node draw and the
         ``seed`` field of each result); defaults to ``range(N)``.
-    horizon_s / dense_ticks / event_index / vectorized / signals:
+    horizon_s / dense_ticks / signals:
         Forwarded to every replica's engine unchanged. ``signals`` is
         stateless over a run and safely shared.
     power_model:
@@ -170,8 +170,6 @@ class BatchSimulationEngine:
         seeds: Sequence[int] | None = None,
         horizon_s: float | None = None,
         dense_ticks: bool = False,
-        event_index: bool = True,
-        vectorized: bool = True,
         signals: OperatingSignals | None = None,
         power_model: SystemPowerModel | None = None,
     ) -> None:
@@ -199,8 +197,6 @@ class BatchSimulationEngine:
                 seed=seed,
                 horizon_s=horizon_s,
                 dense_ticks=dense_ticks,
-                event_index=event_index,
-                vectorized=vectorized,
                 signals=signals,
                 power_model=self.power_model,
             )
@@ -348,8 +344,6 @@ def run_batch(
         seeds=seeds,
         horizon_s=request.horizon_s,
         dense_ticks=request.dense_ticks,
-        event_index=request.event_index,
-        vectorized=request.vectorized,
         signals=request.signals,
     )
     return engine.run(progress=progress)

@@ -121,6 +121,15 @@ class SimulationResult:
 class SimulationEngine:
     """Discrete-time engine coupling scheduling, power and cooling.
 
+    Each per-step query has exactly one implementation, and it is indexed:
+    releases and the coalescing bound come from the resource manager's
+    end-time heap and the power aggregator's breakpoint heap (``O(log R)``
+    per event-free step in the running-set size ``R``), membership changes
+    from the allocate/release journal, job-start power states from one
+    batched build per refresh, and EASY reservations from the
+    expected-release index. The O(R) scans these replace are test oracles
+    (``tests/oracles.py``).
+
     Parameters
     ----------
     system:
@@ -144,28 +153,6 @@ class SimulationEngine:
         coalescing event-free intervals. Summary metrics are identical
         either way; dense mode exists for consumers of the exact per-tick
         time series.
-    event_index:
-        When true (the default) the per-step release check and the
-        coalescing event bound come from heaps — the resource manager's
-        lazy-deletion end-time heap and the power aggregator's breakpoint
-        heap — making an event-free step ``O(log R)`` in the running-set
-        size ``R``. ``False`` restores the ``O(R)`` scans (identical
-        results, job by job and tick by tick); the flag exists for the
-        frontier-scale benchmark's scan-vs-heap comparison and as a
-        differential-testing aid.
-    vectorized:
-        When true (the default) the per-*event* hot paths are batched and
-        indexed: jobs starting in the same power refresh get their cached
-        power states built in one vectorised pass (one node-power-model
-        evaluation per refresh, not per job), running-set membership
-        changes are consumed from the resource manager's allocate/release
-        journal in O(changes), EASY backfill reads its shadow reservation
-        from the expected-release index, and replay memoizes its queue
-        ordering. ``False`` restores the per-job construction and per-call
-        scans (summaries identical up to float association, gated at 1e-9
-        in CI); the flag exists for the batched-vs-per-job benchmark
-        comparison and as a differential-testing aid, exactly like
-        ``event_index``.
     obs:
         Optional :class:`~repro.obs.Observability` bundle — phase-span
         tracer, metrics registry, structured event log and/or progress
@@ -190,8 +177,6 @@ class SimulationEngine:
         seed: int = 0,
         horizon_s: float | None = None,
         dense_ticks: bool = False,
-        event_index: bool = True,
-        vectorized: bool = True,
         signals: OperatingSignals | None = None,
         obs: Observability | None = None,
         power_model: SystemPowerModel | None = None,
@@ -213,7 +198,6 @@ class SimulationEngine:
             # policy untouched — they only weight the stats integrals.
             self.scheduler = PowerCapScheduler(self.scheduler, signals)
         self.scheduler.reset()
-        self.scheduler.vectorized = vectorized
         self.resource_manager = ResourceManager(system, seed=seed)
         # The power model is stateless over a run, so batched Monte Carlo
         # replicas of the same system inject one shared instance (sharing
@@ -229,7 +213,7 @@ class SimulationEngine:
         #: resource manager's allocate/release journal, O(changes)) and
         #: breakpoint crossings — never rescanned per step.
         self.power_aggregator = RunningSetPowerAggregator(
-            self.power_model, self.resource_manager, batch_states=vectorized
+            self.power_model, self.resource_manager
         )
         if isinstance(self.scheduler, PowerCapScheduler):
             self.scheduler.bind_power_model(self.power_model)
@@ -240,9 +224,6 @@ class SimulationEngine:
         self.seed = seed
         self.horizon_s = horizon_s
         self.dense_ticks = dense_ticks
-        self.event_index = event_index
-        self.vectorized = vectorized
-        self.resource_manager.scan_completions = not event_index
 
         # Observability: unpack the bundle into per-instrument attributes so
         # the disabled path is a single ``is None`` check per phase. The
@@ -592,10 +573,9 @@ class SimulationEngine:
         (:meth:`~repro.cluster.ResourceManager.next_job_end`) and the
         earliest profile breakpoint from the power aggregator's change heap
         (:meth:`~repro.power.RunningSetPowerAggregator.next_breakpoint_after`)
-        — both maintain the exact per-job times the per-job scan used to
-        re-derive, so the chosen interval is float-identical. With
-        ``event_index=False`` the historical O(R) scan computes the same
-        bounds job by job (the benchmark's comparison baseline).
+        — both maintain the exact per-job times an O(R) scan of the running
+        set would re-derive, so the chosen interval is float-identical to
+        it (the test suite checks this before every step).
 
         Returns ``k * timestep`` where ``now + k * timestep`` is the first
         grid tick that processes the next event — exactly the tick a dense
@@ -618,22 +598,12 @@ class SimulationEngine:
                 events.append(signal_change)
         if self._pending:
             events.append(self._pending[0].submit_time)
-        if self.event_index:
-            next_end = self.resource_manager.next_job_end()
-            if next_end is not None:
-                events.append(next_end)
-            next_change = self.power_aggregator.next_breakpoint_after(now)
-            if next_change is not None:
-                events.append(next_change)
-        else:
-            # event_index=False: the historical O(R) per-job scan, kept
-            # as the equivalence-gate baseline.
-            for job in self.resource_manager.running_by_id.values():  # repro-lint: disable=hot-path
-                start = job.sim_start_time if job.sim_start_time is not None else now
-                events.append(start + job.duration)
-                next_change = job.next_power_change_after(now)
-                if next_change is not None:
-                    events.append(next_change)
+        next_end = self.resource_manager.next_job_end()
+        if next_end is not None:
+            events.append(next_end)
+        next_change = self.power_aggregator.next_breakpoint_after(now)
+        if next_change is not None:
+            events.append(next_change)
         if not events:
             # Nothing queued, pending or running: this is the final sample
             # and the run ends at the next tick — jumping to a far-away

@@ -303,10 +303,10 @@ class _JobPowerState:
     def for_job(cls, job: Job, model: NodePowerModel, now: float) -> "_JobPowerState":
         """Per-job construction: one profile/model evaluation per job.
 
-        This is the differential baseline for :func:`build_power_states`
-        (engine flag ``vectorized=False``): the batched builder must produce
-        bit-identical grids and powers, and the property tests hold the two
-        to exactly that.
+        The aggregator's path for a refresh that starts a single job (a
+        batch of one gains nothing from rank space). :func:`build_power_states`
+        produces bit-identical grids and powers, and the property tests
+        hold the two to exactly that.
         """
         nodes = job.nodes_required
         times = _union_grid(job)
@@ -375,10 +375,9 @@ def build_power_states(
     the concatenation; the per-job arrays are then sliced back as views.
     Every resulting array and cached scalar is bit-identical to
     :meth:`_JobPowerState.for_job` (the same IEEE operations applied
-    element-wise; rank arithmetic is exact), so the batched and per-job
-    paths are interchangeable — the engine gates them behind ``vectorized``
-    purely as a differential benchmark baseline, and the property tests
-    hold the two to bit equality.
+    element-wise; rank arithmetic is exact), so the aggregator may pick
+    either per refresh (batched for several starts, per-job for one), and
+    the property tests hold the two to bit equality.
     """
     count = len(jobs_models)
     if count == 0:
@@ -596,12 +595,9 @@ class RunningSetPowerAggregator:
         self,
         model: SystemPowerModel,
         resource_manager: ResourceManager,
-        *,
-        batch_states: bool = True,
     ) -> None:
         self._model = model
         self._rm = resource_manager
-        self._batch_states = batch_states
         self._epoch: int | None = None
         self._journal_cursor = 0
         self._states: dict[int, _JobPowerState] = {}
@@ -709,16 +705,15 @@ class RunningSetPowerAggregator:
     def _sync_membership(self, now: float) -> None:
         """Apply the running-set membership changes since the last refresh.
 
-        The default path consumes the resource manager's allocate/release
-        journal — O(changes) regardless of the running-set size — and hands
-        every started job to the batched state builder in one pass. When
-        the journal cannot answer (a second consumer drained it, cold start
-        after a capped buffer) or batching is disabled
-        (``batch_states=False``, the differential baseline), the historical
-        full set-diff against :attr:`ResourceManager.running_by_id` runs
-        instead; both paths add and remove the same per-job contributions,
-        so they only differ in float add/subtract association order (well
-        below the engine's 1e-9 equivalence gates).
+        Consumes the resource manager's allocate/release journal —
+        O(changes) regardless of the running-set size — and hands every
+        started job to :meth:`_build_states` in one call. Only when the
+        journal cannot answer (``drain_change_journal`` returns ``None``: a
+        second consumer drained it, or a cold start after a capped buffer)
+        does a full set-diff against :attr:`ResourceManager.running_by_id`
+        resync instead; both paths add and remove the same per-job
+        contributions, so they only differ in float add/subtract
+        association order (well below the engine's 1e-9 equivalence gates).
         """
         self.membership_syncs += 1
         running = self._rm.running_by_id
@@ -727,7 +722,6 @@ class RunningSetPowerAggregator:
         )
         if entries is None:
             self.journal_resyncs += 1
-        if entries is None or not self._batch_states:
             ended_ids = sorted(self._states.keys() - running.keys())
             started_jobs = [
                 running[job_id]
@@ -784,11 +778,11 @@ class RunningSetPowerAggregator:
         Extracted from :meth:`_sync_membership` as the one overridable seam:
         subclasses that already hold prebuilt grids (the batch engine's
         :class:`~repro.engine.batch.PrebuiltPowerStateAggregator`) substitute
-        their pool here, and the batched/per-job choice stays in one place.
-        Both built-in paths produce bit-identical arrays (contract of
-        :func:`build_power_states`).
+        their pool here. Several starts take one :func:`build_power_states`
+        pass; a single start takes :meth:`_JobPowerState.for_job`. The two
+        produce bit-identical arrays.
         """
-        if self._batch_states and len(started_jobs) > 1:
+        if len(started_jobs) > 1:
             self.batched_builds += 1
             return build_power_states(
                 [

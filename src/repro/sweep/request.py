@@ -3,7 +3,7 @@
 A :class:`RunRequest` captures everything :func:`run_request` needs to
 reproduce a :class:`~repro.engine.SimulationEngine` run — registered system
 name, scheduling policy, synthetic-workload window and (optionally) the full
-:class:`~repro.workloads.WorkloadSpec`, engine flags and the seed — and
+:class:`~repro.workloads.WorkloadSpec`, the sampling switch and the seed — and
 round-trips losslessly through JSON. That is what lets a run cross a process
 boundary: the sweep driver ships request dicts to pool workers, and the
 planned simulation-as-a-service front end can accept the same payload over
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
@@ -51,6 +52,13 @@ __all__ = [
     "workload_spec_from_dict",
     "workload_spec_to_dict",
 ]
+
+#: Engine switches retired from the request. Their O(R) baselines were
+#: removed, but every stored request carries them as ``true`` and
+#: :attr:`RunRequest.run_id` hashes them, so they stay in the wire format
+#: as frozen constants: dropping the keys would re-hash every stored run id
+#: and orphan existing stores' resume.
+_FROZEN_TRUE_KEYS = ("event_index", "vectorized")
 
 #: JSON type tag -> arrival-process class (the one union inside WorkloadSpec).
 _ARRIVAL_KINDS: dict[str, type] = {
@@ -166,8 +174,8 @@ class RunRequest:
         (:func:`~repro.workloads.default_workload_spec`).
     horizon_s:
         Optional hard stop for the engine clock, seconds.
-    dense_ticks / event_index / vectorized:
-        The engine's sampling / complexity flags, defaulted like the engine.
+    dense_ticks:
+        The engine's sampling switch, defaulted like the engine.
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` (or its
         JSON dict form) — power cap, electricity price and carbon
@@ -184,20 +192,24 @@ class RunRequest:
     spec: WorkloadSpec | None = None
     horizon_s: float | None = None
     dense_ticks: bool = False
-    event_index: bool = True
-    vectorized: bool = True
     signals: OperatingSignals | None = None
 
     def __post_init__(self) -> None:
         if not self.system or not isinstance(self.system, str):
             raise ConfigurationError("RunRequest.system must be a registered system name")
-        if self.duration_s <= 0:
+        # Non-finite times would otherwise surface only later, as a raw
+        # ValueError from the strict (allow_nan=False) run-id encoding.
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise SimulationError(
-                f"RunRequest.duration_s must be positive, got {self.duration_s!r}"
+                "RunRequest.duration_s must be positive and finite, "
+                f"got {self.duration_s!r}"
             )
-        if self.horizon_s is not None and self.horizon_s <= 0:
+        if self.horizon_s is not None and not (
+            math.isfinite(self.horizon_s) and self.horizon_s > 0
+        ):
             raise SimulationError(
-                f"RunRequest.horizon_s must be positive, got {self.horizon_s!r}"
+                "RunRequest.horizon_s must be positive and finite, "
+                f"got {self.horizon_s!r}"
             )
         # Canonicalise the numeric fields: the run id hashes the JSON form,
         # and json.dumps renders int 3600 and float 3600.0 differently, so
@@ -225,9 +237,8 @@ class RunRequest:
             "spec": None if self.spec is None else workload_spec_to_dict(self.spec),
             "horizon_s": self.horizon_s,
             "dense_ticks": self.dense_ticks,
-            "event_index": self.event_index,
-            "vectorized": self.vectorized,
         }
+        payload.update(dict.fromkeys(_FROZEN_TRUE_KEYS, True))
         # Serialised by omission when absent: the run id hashes this dict,
         # and a "signals": null key would re-hash every historical request.
         if self.signals is not None:
@@ -236,15 +247,27 @@ class RunRequest:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "RunRequest":
-        """Rebuild a request from :meth:`to_json_dict` output."""
+        """Rebuild a request from :meth:`to_json_dict` output.
+
+        The frozen legacy keys (``event_index``, ``vectorized``) are
+        accepted only as ``true``: ``false`` asked for an O(R) baseline
+        engine that no longer exists.
+        """
+        kwargs: dict[str, Any] = dict(data)
+        for key in _FROZEN_TRUE_KEYS:
+            value = kwargs.pop(key, True)
+            if value is not True:
+                raise ConfigurationError(
+                    f"RunRequest.{key} must be true, got {value!r}: its false "
+                    "setting selected a baseline engine path that has been removed"
+                )
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ConfigurationError(
                 f"unknown RunRequest field(s) {', '.join(unknown)}; known: "
                 + ", ".join(sorted(known))
             )
-        kwargs: dict[str, Any] = dict(data)
         spec_data = kwargs.get("spec")
         if spec_data is not None:
             kwargs["spec"] = workload_spec_from_dict(spec_data)
@@ -302,8 +325,6 @@ def run_request(
         seed=request.seed,
         horizon_s=request.horizon_s,
         dense_ticks=request.dense_ticks,
-        event_index=request.event_index,
-        vectorized=request.vectorized,
         signals=request.signals,
         obs=obs,
     )

@@ -11,6 +11,7 @@ from repro.config import get_system_config
 from repro.exceptions import AllocationError
 
 from helpers import make_job
+from oracles import scan_due_jobs, scan_next_job_end
 
 
 class TestNode:
@@ -367,27 +368,25 @@ class TestEndTimeHeap:
         assert rm.complete_finished_jobs(900.0) == [long]
 
     def test_scan_and_heap_paths_release_identically(self, tiny_system):
-        # scan_completions is the benchmark's comparison baseline: both
-        # paths must release the same jobs in the same order at the same
-        # end times.
-        def run(scan):
-            rm = ResourceManager(tiny_system)
-            rm.scan_completions = scan
-            jobs = [
-                _allocate(rm, make_job(nodes=1, duration=d))
-                for d in (300.0, 100.0, 300.0, 777.25)
-            ]
-            index_of = {job.job_id: i for i, job in enumerate(jobs)}
-            released = []
-            rm.release(jobs[1], 50.0)  # early release -> stale entry
-            for now in (0.0, 299.0, 300.0, 800.0):
-                released.extend(
-                    (now, index_of[j.job_id], j.sim_end_time)
-                    for j in rm.complete_finished_jobs(now)
-                )
-            return released
-
-        assert run(scan=False) == run(scan=True)
+        # The heap must release exactly the O(R) due-set scan: the same
+        # jobs in the same (job-id) order, at their indexed end times.
+        rm = ResourceManager(tiny_system)
+        jobs = [
+            _allocate(rm, make_job(nodes=1, duration=d))
+            for d in (300.0, 100.0, 300.0, 777.25)
+        ]
+        rm.release(jobs[1], 50.0)  # early release -> stale entry
+        released = []
+        for now in (0.0, 299.0, 300.0, 800.0):
+            due = scan_due_jobs(rm, now)
+            finished = rm.complete_finished_jobs(now)
+            assert finished == due
+            released.extend((now, j.job_id, j.sim_end_time) for j in finished)
+        assert released == [
+            (300.0, jobs[0].job_id, 300.0),
+            (300.0, jobs[2].job_id, 300.0),
+            (800.0, jobs[3].job_id, 777.25),
+        ]
 
     @given(
         plan=st.lists(
@@ -403,7 +402,8 @@ class TestEndTimeHeap:
     def test_invariants_hold_under_churn(self, plan):
         # Epoch churn: interleaved allocations, early releases and
         # completions (duplicate end times included via coarse rounding)
-        # must keep the heap and the running set consistent throughout.
+        # must keep the heap and the running set consistent throughout,
+        # and the heap must agree with the running-set scans.
         system = get_system_config("tiny")
         rm = ResourceManager(system)
         now = 0.0
@@ -416,7 +416,9 @@ class TestEndTimeHeap:
                 if release_early and duration > 0:
                     rm.release(job, now)
             now += 150.0
-            rm.complete_finished_jobs(now)
+            assert rm.next_job_end() == scan_next_job_end(rm)
+            due = scan_due_jobs(rm, now)
+            assert rm.complete_finished_jobs(now) == due
             _heap_invariants(rm)
         rm.complete_finished_jobs(now + 4000.0)
         assert rm.running_by_id == {}

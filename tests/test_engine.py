@@ -22,6 +22,7 @@ from repro.workloads.distributions import (
 )
 
 from helpers import make_job
+from oracles import ScanCheckedEngine
 
 
 class TestParseDuration:
@@ -350,26 +351,34 @@ class TestEventDrivenEquivalence:
 
 
 class TestEventIndexEquivalence:
-    """The O(log R) event indexes must change complexity, never semantics."""
+    """The O(log R) event indexes must change complexity, never semantics.
+
+    :class:`oracles.ScanCheckedEngine` asserts before every step that each
+    release equals the O(R) due-set scan and that the end-time and
+    breakpoint heaps report the running-set scan minima.
+    """
+
+    @staticmethod
+    def _assert_scan_checked(system, jobs, policy, seed):
+        plain = SimulationEngine(
+            system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+        ).run()
+        engine = ScanCheckedEngine(
+            system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+        )
+        checked = engine.run()
+        # The checks observe without perturbing: same summary, step count
+        # included, and every coalescing decision was checked.
+        assert checked.summary() == plain.summary()
+        assert engine.checked_steps == checked.summary()["ticks"]
+        assert engine.checked_releases > 0
 
     def test_scan_path_matches_heap_path_exactly(self, tiny_system):
-        # event_index=False restores the O(R) running-set scans; on the
-        # breakpoint-dense busy trace both paths must produce the exact
-        # same summary — including the step count — not merely 1e-9-close.
+        # The breakpoint-dense busy trace: profile changes bound most steps.
         jobs = SyntheticWorkloadGenerator(
             tiny_system, busy_trace_spec(), seed=7
         ).generate(6 * 3600.0)
-        heap = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "backfill", seed=7
-        ).run()
-        scan = SimulationEngine(
-            tiny_system,
-            [j.copy_for_simulation() for j in jobs],
-            "backfill",
-            seed=7,
-            event_index=False,
-        ).run()
-        assert heap.summary() == scan.summary()
+        self._assert_scan_checked(tiny_system, jobs, "backfill", 7)
 
     @pytest.mark.parametrize("policy", ["replay", "fcfs"])
     def test_scan_path_matches_for_other_policies(self, tiny_system, policy):
@@ -377,36 +386,25 @@ class TestEventIndexEquivalence:
             tiny_system, default_workload_spec(tiny_system), seed=19
         )
         jobs = generator.generate(4 * 3600.0)
-        heap = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], policy, seed=19
-        ).run()
-        scan = SimulationEngine(
-            tiny_system,
-            [j.copy_for_simulation() for j in jobs],
-            policy,
-            seed=19,
-            event_index=False,
-        ).run()
-        assert heap.summary() == scan.summary()
+        self._assert_scan_checked(tiny_system, jobs, policy, 19)
 
     def test_frontier_scale_spec_heap_vs_scan(self):
         # A one-hour slice of the frontier-scale benchmark workload (the
         # benchmark itself runs 12 h): >= 1000 concurrently running jobs,
-        # and the heap-indexed engine must agree with the scan engine
-        # exactly. Shares frontier_scale_spec with scripts/bench_engine.py
-        # so the regression test and the benchmark can never drift apart.
+        # with the heaps checked against the running-set scans before
+        # every step. Shares frontier_scale_spec with
+        # scripts/bench_engine.py so the regression test and the benchmark
+        # can never drift apart.
         from repro.workloads import frontier_scale_spec
 
         system = get_system_config("frontier")
         jobs = SyntheticWorkloadGenerator(
             system, frontier_scale_spec(), seed=3
         ).generate(3600.0)
-        heap = SimulationEngine(system, jobs, "backfill", seed=3).run()
-        scan = SimulationEngine(
-            system, jobs, "backfill", seed=3, event_index=False
-        ).run()
-        assert heap.summary() == scan.summary()
-        assert max(t.running_jobs for t in heap.stats.ticks) >= 1000
+        engine = ScanCheckedEngine(system, jobs, "backfill", seed=3)
+        result = engine.run()
+        assert engine.checked_steps == result.summary()["ticks"]
+        assert max(t.running_jobs for t in result.stats.ticks) >= 1000
 
     def test_end_heap_drains_after_run(self, tiny_system, tiny_workload):
         # After a full backfill run (plenty of epoch churn) the end-time

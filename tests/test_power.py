@@ -18,6 +18,7 @@ from repro.power import (
 from repro.telemetry import Profile, constant_profile
 
 from helpers import make_job
+from oracles import ResyncPerJobAggregator, per_job_totals
 
 
 class TestNodePowerModel:
@@ -234,10 +235,10 @@ def _profile_from(draw_values, duration):
 class TestBatchedPowerStates:
     """Batched and per-job _JobPowerState construction must be bit-identical.
 
-    The engine's ``vectorized`` flag only switches between these two paths,
-    so bit equality here (grids, powers, weighted utilizations, cached
-    current values and next-change bounds) is what guarantees the
-    batched-vs-per-job benchmark gate can never drift.
+    The aggregator builds several starts in one batch and a single start
+    per job, so bit equality here (grids, powers, weighted utilizations,
+    cached current values and next-change bounds) is what makes the choice
+    invisible to every result.
     """
 
     @staticmethod
@@ -363,37 +364,37 @@ class TestBatchedPowerStates:
         self._assert_states_identical(batched, perjob)
 
     def test_aggregator_batched_matches_per_job_over_membership_churn(self, tiny_system):
+        # The journal path with batched builds, the set-diff resync with
+        # per-job builds (forced by a second journal consumer) and a
+        # from-scratch for_job sum must agree at every sample.
         from repro.cluster import ResourceManager
         from repro.power import RunningSetPowerAggregator
 
-        def run(batch):
-            model = SystemPowerModel(tiny_system)
-            rm = ResourceManager(tiny_system)
-            agg = RunningSetPowerAggregator(model, rm, batch_states=batch)
-            jobs = [
-                make_job(nodes=2, submit=0.0, duration=300.0 * (i + 1),
-                         cpu_profile=Profile([0.0, 100.0 + i], [0.2, 0.8]))
-                for i in range(5)
-            ]
-            samples = []
-            for job in jobs:
-                job.mark_queued(0.0)
-                rm.allocate(job, 0.0)
-            for now in np.arange(0.0, 1600.0, 50.0):
-                rm.complete_finished_jobs(now)
-                samples.append(agg.sample(float(now)))
-            return samples
-
-        # Same op sequence either way: the only difference may be float
-        # association order inside the batch, which these workloads keep
-        # far below the engine's 1e-9 contract.
-        for batched_sample, perjob_sample in zip(run(True), run(False)):
-            assert batched_sample.job_power_kw == pytest.approx(
-                perjob_sample.job_power_kw, rel=1e-12, abs=1e-15
-            )
-            assert batched_sample.mean_cpu_util == pytest.approx(
-                perjob_sample.mean_cpu_util, rel=1e-12, abs=1e-15
-            )
+        model = SystemPowerModel(tiny_system)
+        rm = ResourceManager(tiny_system)
+        journal = RunningSetPowerAggregator(model, rm)
+        resync = ResyncPerJobAggregator(model, rm)
+        jobs = [
+            make_job(nodes=2, submit=0.0, duration=300.0 * (i + 1),
+                     cpu_profile=Profile([0.0, 100.0 + i], [0.2, 0.8]))
+            for i in range(5)
+        ]
+        for job in jobs:
+            job.mark_queued(0.0)
+            rm.allocate(job, 0.0)
+        for now in np.arange(0.0, 1600.0, 50.0):
+            now = float(now)
+            rm.complete_finished_jobs(now)
+            got = journal.totals(now)
+            baseline = resync.totals(now)
+            reference = per_job_totals(model, rm, now)
+            # Same contributions either way: only float association order
+            # may differ, far below the engine's 1e-9 contract.
+            for totals in (got, baseline):
+                for value, want in zip(totals, reference):
+                    assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert journal.journal_resyncs == 0 and journal.batched_builds == 1
+        assert resync.journal_resyncs > 0 and resync.batched_builds == 0
 
     def test_journal_fallback_resync_matches_scan(self, tiny_system):
         # A second consumer finds the journal already drained and must fall

@@ -32,6 +32,7 @@ from repro.workloads.distributions import (
 )
 
 from helpers import make_job
+from oracles import BaselineEngine
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -354,19 +355,20 @@ class TestEdgeCaseEquivalence:
                 ), f"seed={seed}/{key}: batch drifted from serial under the cap"
 
 def _assert_batched_perjob_equivalent(tiny_system, jobs, policy, horizon_s=None):
-    """vectorized=True vs vectorized=False: same 1e-9 contract as dense-vs-event."""
+    """The engine vs :class:`oracles.BaselineEngine` (every index replaced
+    by its scan, every power state built per job): same 1e-9 contract as
+    dense-vs-event."""
     batched = SimulationEngine(
         tiny_system,
         [j.copy_for_simulation() for j in jobs],
         policy,
         horizon_s=horizon_s,
     ).run()
-    perjob = SimulationEngine(
+    perjob = BaselineEngine(
         tiny_system,
         [j.copy_for_simulation() for j in jobs],
         policy,
         horizon_s=horizon_s,
-        vectorized=False,
     ).run()
     batched_summary, perjob_summary = batched.summary(), perjob.summary()
     assert set(batched_summary) == set(perjob_summary)

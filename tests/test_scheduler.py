@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ResourceManager
 from repro.config import get_system_config
@@ -15,10 +17,12 @@ from repro.engine import (
     available_policies,
     get_scheduler,
 )
+from repro.engine.scheduler import _FreeNodeCounts
 from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
 from helpers import make_job
+from oracles import ScanReservationBackfill, SortingReplay
 
 
 class TestRegistry:
@@ -562,10 +566,9 @@ class TestReplayOrderMemo:
         assert scheduler._ordered_queue(jobs, rm) is not first
 
     def test_schedule_results_identical_with_and_without_memo(self, tiny_system):
-        def run(vectorized):
+        # The memoized ordering against a fresh ``sorted`` on every call.
+        def run(scheduler):
             rm = ResourceManager(tiny_system)
-            scheduler = ReplayScheduler()
-            scheduler.vectorized = vectorized
             jobs = self._queued(45.0, 30.0, 1200.0)
             started = []
             for now in (0.0, 30.0, 45.0, 60.0, 1200.0):
@@ -579,17 +582,18 @@ class TestReplayOrderMemo:
                 )
             return started
 
-        assert run(True) == run(False)
+        memoized = ReplayScheduler()
+        assert run(memoized) == run(SortingReplay())
+        assert memoized.order_memo_hits > 0
 
 
 class TestBackfillReservationIndex:
-    """The vectorized reservation (expected-release index) vs the scan."""
+    """The indexed reservation walk (expected-release index) vs the
+    occupant scan (``_occupants`` + ``_reservation``) on whole-pool heads."""
 
     def _rig(self, system, running_specs, queue_specs, now):
-        def build(vectorized):
+        def build(scheduler):
             rm = ResourceManager(system)
-            scheduler = BackfillScheduler()
-            scheduler.vectorized = vectorized
             for nodes, duration, limit in running_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
                                wall_limit=limit)
@@ -606,7 +610,11 @@ class TestBackfillReservationIndex:
                 for d in scheduler.schedule(queue, rm, now)
             ]
 
-        return build(True), build(False)
+        indexed = BackfillScheduler()
+        decisions = build(indexed), build(ScanReservationBackfill())
+        # Every reservation of the production pass took the indexed walk.
+        assert indexed.reservations_indexed == indexed.reservations_computed > 0
+        return decisions
 
     def test_indexed_and_scan_reservations_agree(self, tiny_system):
         indexed, scanned = self._rig(
@@ -641,15 +649,63 @@ class TestBackfillReservationIndex:
         )
         assert indexed == scanned
 
+    @given(
+        running=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=8),
+                st.sampled_from([0.0, 300.0, 900.0]),  # allocation time
+                st.sampled_from([300.0, 600.0, 1800.0, 3600.0]),  # wall limit
+            ),
+            max_size=8,
+        ),
+        started=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.sampled_from([300.0, 600.0, 1800.0]),
+            ),
+            max_size=3,
+        ),
+        head_nodes=st.integers(min_value=1, max_value=40),
+        now=st.sampled_from([900.0, 1200.0, 4000.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_walk_matches_occupant_scan(self, running, started, head_nodes, now):
+        # Whole-pool heads, duplicate and overrun (past) expected ends, and
+        # same-tick starts: the indexed walk's (shadow, spare) must equal
+        # _reservation over _occupants exactly.
+        rm = ResourceManager(get_system_config("tiny"))
+        for nodes, at, limit in running:
+            if rm.free_node_count() >= nodes:
+                job = make_job(nodes=nodes, submit=0.0, duration=86400.0, wall_limit=limit)
+                job.mark_queued(0.0)
+                rm.allocate(job, at)
+        free_counts = _FreeNodeCounts(rm)
+        started_entries = []
+        for nodes, limit in started:
+            job = make_job(nodes=nodes, submit=0.0, wall_limit=limit)
+            if free_counts.fits(job):
+                free_counts.consume(job)
+                started_entries.append(
+                    (now + job.requested_runtime, job, free_counts.partition_key(job))
+                )
+        head = make_job(nodes=head_nodes, submit=0.0)
+        head_key = free_counts.partition_key(head)
+        scheduler = BackfillScheduler()
+        shadow, spare, _ = scheduler._reserve(
+            head, head_key, free_counts, rm, started_entries, now
+        )
+        assert scheduler.reservations_indexed == 1
+        occupants = BackfillScheduler._occupants(rm, started_entries, head_key, now)
+        assert (shadow, spare) == BackfillScheduler._reservation(
+            head, free_counts.free_in(head_key), occupants, now
+        )
+
     def test_partition_confined_head_uses_scan_fallback(self, two_partition_system):
         # A head restricted to a proper subset of the nodes cannot use the
-        # whole-pool index; both flag settings must take the same
-        # partition-aware decisions (the PR3 partition test re-run under
-        # vectorized=True lives in TestBackfillScheduler).
-        def run(vectorized):
+        # whole-pool index: production takes the occupant scan itself and
+        # must decide exactly like the scan-only scheduler.
+        def run(scheduler):
             rm = ResourceManager(two_partition_system)
-            scheduler = BackfillScheduler()
-            scheduler.vectorized = vectorized
             running = make_job(nodes=6, partition="gpu", submit=0.0,
                                duration=3600.0, wall_limit=3600.0)
             running.mark_queued(0.0)
@@ -664,7 +720,10 @@ class TestBackfillReservationIndex:
                 job.mark_queued(job.submit_time)
             return [d.job.partition for d in scheduler.schedule(queue, rm, 60.0)]
 
-        assert run(True) == run(False) == ["cpu"]
+        production = BackfillScheduler()
+        assert run(production) == run(ScanReservationBackfill()) == ["cpu"]
+        assert production.reservations_computed > 0
+        assert production.reservations_indexed == 0
 
     def test_same_tick_starts_enter_the_reservation(self, tiny_system):
         # Phase-1 starts of the same tick must occupy the reservation walk

@@ -83,8 +83,6 @@ class TestRunRequest:
             spec=busy_trace_spec(),
             horizon_s=10800.0,
             dense_ticks=True,
-            event_index=False,
-            vectorized=False,
         )
         again = RunRequest.from_json(request.to_json())
         assert again == request
@@ -99,9 +97,24 @@ class TestRunRequest:
         # The id is a pure content hash — no salts, no object identity —
         # so a literal pin guards against accidental canonical-form drift
         # (which would orphan every existing results store).
-        assert RunRequest(system="tiny", seed=1).run_id == (
-            RunRequest.from_json(RunRequest(system="tiny", seed=1).to_json()).run_id
-        )
+        assert RunRequest(system="tiny", seed=1).run_id == "42acf52c4e8c743a"
+
+    def test_frozen_legacy_keys_round_trip(self) -> None:
+        # Stored rows carry the retired engine switches as true; they are
+        # still emitted (the run id hashes them) and accepted back.
+        request = RunRequest(system="tiny", seed=1)
+        data = request.to_json_dict()
+        assert data["event_index"] is True and data["vectorized"] is True
+        assert RunRequest.from_json_dict(data) == request
+        assert RunRequest.from_json_dict(
+            {"system": "tiny", "seed": 1, "vectorized": True}
+        ) == request
+
+    @pytest.mark.parametrize("key", ["event_index", "vectorized"])
+    @pytest.mark.parametrize("value", [False, 0, None])
+    def test_frozen_legacy_key_rejects_non_true(self, key: str, value: object) -> None:
+        with pytest.raises(ConfigurationError, match=f"{key} must be true.*removed"):
+            RunRequest.from_json_dict({"system": "tiny", key: value})
 
     def test_unknown_field_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown RunRequest field"):
@@ -116,6 +129,18 @@ class TestRunRequest:
             RunRequest(system="tiny", horizon_s=-1.0)
         with pytest.raises(ConfigurationError, match="system"):
             RunRequest(system="")
+
+    @pytest.mark.parametrize("field", ["duration_s", "horizon_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, field: str, value: float) -> None:
+        from repro.exceptions import SimulationError
+
+        with pytest.raises(SimulationError, match=f"{field} must be positive and finite"):
+            RunRequest(system="tiny", **{field: value})
+        # JSON parsing accepts NaN/Infinity literals; the request must not.
+        text = json.dumps({"system": "tiny", field: value})
+        with pytest.raises(SimulationError, match=field):
+            RunRequest.from_json(text)
 
 
 class TestWorkloadSpecSerialisation:
